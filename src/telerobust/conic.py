@@ -13,8 +13,19 @@ decomposition of the dual slack into ``P + Q^{T_B}`` with P, Q >= 0.
 
 Internally everything is mapped to the real symmetric vectorization
 (svec) and solved with a Mehrotra predictor-corrector method using
-Nesterov-Todd scaling.  Problems at the intended scale (blocks up to
-81 x 81, a few thousand rows) solve in well under a second.
+Nesterov-Todd scaling.  The compiled standard form keeps, for each block,
+only its row support: the rows on which the block has a nonzero
+coefficient.  The Schur complement is assembled block by block on those
+rows (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997), and blocks of
+equal size are stacked so that eigendecompositions, scaling and step
+lengths run as one batched call per size.  What remains per iteration is
+the dense Cholesky factorization of the m x m Schur matrix.
+
+Measured with one BLAS thread on a 2-vCPU Intel Xeon: the teleportation
+robustness programs of Bell measurement on an isotropic state take about
+0.03 s (primal, 144 rows) and 0.02 s (dual, 68 rows) at d = 2, and about
+1.0 s (primal, 1539 rows, half of it Cholesky) and 0.35 s (dual, 738
+rows) at d = 3.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import dagger, hermitize
 
@@ -40,6 +51,7 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
 class SolverError(RuntimeError):
@@ -225,8 +237,31 @@ class CertificateReport:
     messages: list[str]
 
 
+@dataclass
+class _Group:
+    """The blocks of one size, stacked, with each block's row support.
+
+    Block ``idx[b]`` has a nonzero coefficient on exactly the rows
+    ``rows[starts[b]:starts[b + 1]]``; ``coef`` holds those coefficients
+    as svec rows and ``owner`` the position ``b`` of each row's block.
+    """
+
+    n: int
+    idx: np.ndarray
+    rows: np.ndarray
+    coef: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    C: np.ndarray
+
+
 class _Standard:
-    """Compiled standard form: equality rows over PSD blocks only."""
+    """Compiled standard form: equality rows over PSD blocks only.
+
+    Blocks of equal size form one :class:`_Group`, and iterates are held
+    as one stack per group, so per-block work is one batched call per
+    size.  Each block keeps only the rows it has a nonzero coefficient on.
+    """
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
@@ -252,73 +287,170 @@ class _Standard:
         self.sizes = sizes
         self.m = m
         self.m_user = m_user
-        self.Ab = [np.zeros((m, n * n)) for n in sizes]
         self.b = np.zeros(m)
 
+        # (row indices, svec coefficient rows) chunks per block, in row order
+        chunks = [[(np.zeros(0, dtype=int), np.zeros((0, n * n)))] for n in sizes]
+        user = [([], []) for _ in range(self.n_user)]
         for i, (coeffs, _, rhs) in enumerate(problem.constraints):
             for k, v in coeffs.items():
-                self.Ab[k][i] = svec(v)
+                user[k][0].append(i)
+                user[k][1].append(v)
             self.b[i] = rhs
+        for k, (rows, mats) in enumerate(user):
+            if rows:
+                chunks[k].append((np.array(rows), svec_stack(mats)))
         for row, blk, sign in self.slack_rows:
-            self.Ab[blk][row, 0] = sign
+            chunks[blk].append((np.array([row]), np.array([[sign]])))
 
         r0 = m_user
         for i in ppt_blocks:
             n = problem.blocks[i].size
-            k2 = self.companion[i]
-            basis = smat_stack(np.eye(n * n), n)
-            pt = svec_stack(_pt_stack(basis, problem.blocks[i].ppt_dims))
-            self.Ab[k2][r0 : r0 + n * n] = np.eye(n * n)
-            self.Ab[i][r0 : r0 + n * n] = -pt
+            rows = np.arange(r0, r0 + n * n)
+            pt = svec_stack(_pt_stack(_basis(n), problem.blocks[i].ppt_dims))
+            chunks[self.companion[i]].append((rows, np.eye(n * n)))
+            chunks[i].append((rows, -pt))
             r0 += n * n
 
         sign = 1.0 if problem.sense == "min" else -1.0
-        self.C = [np.zeros((n, n), dtype=complex) for n in sizes]
-        for k, v in problem.objective.items():
-            self.C[k] = sign * v
+        self.groups: list[_Group] = []
+        self.where: list[tuple[int, int]] = [(0, 0)] * len(sizes)
+        for n in dict.fromkeys(sizes):
+            idx = np.array([k for k, nk in enumerate(sizes) if nk == n])
+            rows, coef, counts = [], [], []
+            c_stack = np.zeros((len(idx), n, n), dtype=complex)
+            for b, k in enumerate(idx):
+                self.where[k] = (len(self.groups), b)
+                r = np.concatenate([c[0] for c in chunks[k]])
+                a = np.concatenate([c[1] for c in chunks[k]])
+                keep = np.any(a != 0.0, axis=1)
+                rows.append(r[keep])
+                coef.append(a[keep])
+                counts.append(int(keep.sum()))
+                if k in problem.objective:
+                    c_stack[b] = sign * problem.objective[k]
+            self.groups.append(
+                _Group(
+                    n=n,
+                    idx=idx,
+                    rows=np.concatenate(rows),
+                    coef=np.concatenate(coef),
+                    starts=np.concatenate([[0], np.cumsum(counts)]),
+                    owner=np.repeat(np.arange(len(idx)), counts),
+                    C=c_stack,
+                )
+            )
 
-    def a_dot(self, blocks):
+    def unstack(self, stacks):
+        """Per-block list of matrices from one stack per group."""
+        return [stacks[g][b] for g, b in self.where]
+
+    def a_dot(self, xs):
+        """Row values sum_k <A_ik, X_k> for one stack of blocks per group."""
         out = np.zeros(self.m)
-        for k, x in enumerate(blocks):
-            out += self.Ab[k] @ svec(x)
+        for g, x in zip(self.groups, xs):
+            vals = np.einsum("rq,rq->r", g.coef, svec_stack(x)[g.owner])
+            out += np.bincount(g.rows, weights=vals, minlength=self.m)
         return out
 
     def at_y(self, y):
-        return [smat(self.Ab[k].T @ y, n) for k, n in enumerate(self.sizes)]
+        """Adjoint sum_i y_i A_ik, as one stack of blocks per group."""
+        out = []
+        for g in self.groups:
+            sums = np.zeros((len(g.idx), g.n * g.n))
+            filled = g.starts[1:] > g.starts[:-1]
+            if filled.any():
+                sums[filled] = np.add.reduceat(g.coef * y[g.rows, None], g.starts[:-1][filled])
+            out.append(smat_stack(sums, g.n))
+        return out
+
+    def schur(self, wh):
+        """Schur matrix M_ij = <A_i, W A_j W>, with W = wh @ wh in each block.
+
+        A block with row support R and coefficient rows A_R adds
+        A_R P A_R^T into M[R, R] only, where P is the svec matrix of
+        X -> W X W.  P = Ph Ph with Ph the symmetric svec matrix of
+        X -> wh X wh, so the term is the Gram matrix of A_R Ph.
+        """
+        mmat = np.zeros((self.m, self.m))
+        for g, h in zip(self.groups, wh):
+            ph = _congruence_svec(h)
+            for b in range(len(g.idx)):
+                sel = slice(g.starts[b], g.starts[b + 1])
+                gk = g.coef[sel] @ ph[b]
+                rows = g.rows[sel]
+                mmat[np.ix_(rows, rows)] += gk @ gk.T
+        return mmat
+
+
+def _basis(n):
+    """The n*n Hermitian matrices whose svec are the unit vectors."""
+    if n not in _BASIS_CACHE:
+        basis = smat_stack(np.eye(n * n), n)
+        basis.setflags(write=False)
+        _BASIS_CACHE[n] = basis
+    return _BASIS_CACHE[n]
+
+
+def _congruence_svec(h):
+    """svec matrices of X -> h X h for a stack of Hermitian h, (B, n*n, n*n).
+
+    Row c is svec(h E_c h) for the c-th svec basis matrix E_c; since the
+    map is self-adjoint and svec an isometry, each matrix is symmetric.
+    """
+    count, n, _ = h.shape
+    t = h[:, None] @ _basis(n)[None] @ h[:, None]
+    return svec_stack(t.reshape(-1, n, n)).reshape(count, n * n, n * n)
 
 
 def _chol_solve_psd(Mmat):
-    """Factor M once; returns a solver callable. Retries with a ridge."""
+    """Factor M once; returns a solver callable. Retries with a diagonal ridge."""
     base = np.trace(Mmat) / max(1, Mmat.shape[0])
     for ridge in (0.0, 1e-14, 1e-11, 1e-8):
+        shifted = Mmat
+        if ridge:
+            shifted = Mmat.copy()
+            shifted[np.diag_indices_from(shifted)] += ridge * base
         try:
-            fac = cho_factor(Mmat + ridge * base * np.eye(Mmat.shape[0]), lower=True)
-            return lambda r: cho_solve(fac, r)
+            fac = cho_factor(shifted, lower=True, overwrite_a=bool(ridge))
+            return lambda r: cho_solve(fac, r, check_finite=False)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
-def _eig_pow(x, power):
+def _eig_pow(x, *powers):
+    """The given powers of each PD matrix in a stack, from one eigh call."""
     vals, vecs = np.linalg.eigh(hermitize(x))
     # relative floor keeps the condition number bounded when a block collapses
-    floor = max(float(vals[-1]), 1e-250) * 1e-16
-    vals = np.clip(vals, floor, None)
-    return (vecs * vals**power) @ dagger(vecs)
+    vals = np.maximum(vals, np.maximum(vals[:, -1:], 1e-250) * 1e-16)
+    vecs_h = dagger(vecs)
+    return [(vecs * vals[:, None, :] ** p) @ vecs_h for p in powers]
 
 
 def _max_step(z, dz):
-    """Largest a >= 0 with z + a*dz >= 0, for z > 0."""
-    n = z.shape[0]
+    """Largest a >= 0 with z + a*dz >= 0 in every block of a stack, for z > 0."""
     try:
         low = np.linalg.cholesky(z)
     except np.linalg.LinAlgError:
-        low = np.linalg.cholesky(z + 1e-12 * np.trace(z).real / n * np.eye(n))
-    li = solve_triangular(low, np.eye(n), lower=True)
-    lam = np.linalg.eigvalsh(hermitize(li @ dz @ dagger(li)))[0]
+        n = z.shape[-1]
+        ridge = 1e-12 * np.trace(z, axis1=1, axis2=2).real / n
+        low = np.linalg.cholesky(z + ridge[:, None, None] * np.eye(n))
+    li = np.linalg.inv(low)
+    lam = float(np.linalg.eigvalsh(hermitize(li @ dz @ dagger(li)))[:, 0].min())
     if lam >= -1e-16:
         return np.inf
     return -1.0 / lam
+
+
+def _inner(xs, ys):
+    """Real trace inner product summed over stacked blocks."""
+    return float(np.real(sum(np.vdot(x, y) for x, y in zip(xs, ys))))
+
+
+def _norm(xs):
+    """Frobenius norm over all stacked blocks."""
+    return float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in xs)))
 
 
 def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
@@ -328,17 +460,18 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
     if m == 0:
         raise ValueError("problem has no constraints")
     nu = sum(sizes)
+    C = [g.C for g in std.groups]
 
-    # cache constraint rows as stacked matrices per block
-    amats = [smat_stack(std.Ab[k], n) for k, n in enumerate(sizes)]
-
-    row_norms = np.sqrt(sum((std.Ab[k] ** 2).sum(axis=1) for k in range(len(sizes))))
-    c_norm = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in std.C))
+    row_norms = np.sqrt(
+        sum(np.bincount(g.rows, weights=(g.coef**2).sum(axis=1), minlength=m) for g in std.groups)
+    )
+    c_norm = _norm(C)
     xi = max(10.0, np.sqrt(max(sizes)), float(np.max((1.0 + np.abs(std.b)) / (1.0 + row_norms))))
     eta = max(10.0, np.sqrt(max(sizes)), 1.0 + c_norm)
 
-    X = [xi * np.eye(n, dtype=complex) for n in sizes]
-    S = [eta * np.eye(n, dtype=complex) for n in sizes]
+    eyes = [np.broadcast_to(np.eye(g.n, dtype=complex), g.C.shape) for g in std.groups]
+    X = [xi * e for e in eyes]
+    S = [eta * e for e in eyes]
     y = np.zeros(m)
     norm0 = max(xi * np.sqrt(nu), eta * np.sqrt(nu))
 
@@ -352,21 +485,23 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
         if use_best and best is not None:
             _, X, y, S = best
         sign = 1.0 if problem.sense == "min" else -1.0
-        pval = problem.offset + sign * float(np.real(sum(np.vdot(std.C[k], X[k]) for k in range(len(sizes)))))
+        pval = problem.offset + sign * _inner(C, X)
         dval = problem.offset + sign * float(std.b @ y)
-        viol = float(np.max(np.abs(std.b - std.a_dot(X))))
+        resid = std.b - std.a_dot(X)
+        viol = float(np.max(np.abs(resid)))
+        xs, ss = std.unstack(X), std.unstack(S)
         for k in range(std.n_user):
-            viol = max(viol, -float(np.linalg.eigvalsh(hermitize(X[k]))[0]))
+            viol = max(viol, -float(np.linalg.eigvalsh(hermitize(xs[k]))[0]))
         sol = SdpSolution(
             status=st,
-            primal_blocks=[X[k].copy() for k in range(std.n_user)],
+            primal_blocks=[xs[k].copy() for k in range(std.n_user)],
             dual_multipliers=y[: std.m_user].copy(),
-            ppt_pairs={i: (S[i].copy(), S[k2].copy()) for i, k2 in std.companion.items()},
+            ppt_pairs={i: (ss[i].copy(), ss[k2].copy()) for i, k2 in std.companion.items()},
             primal_value=pval,
             dual_value=dval,
             gap=abs(pval - dval) / (1.0 + abs(pval) + abs(dval)),
             max_constraint_violation=viol,
-            primal_residual=float(np.linalg.norm(std.b - std.a_dot(X)) / b_norm),
+            primal_residual=float(np.linalg.norm(resid) / b_norm),
             dual_residual=np.nan,
             iterations=it,
             message=msg,
@@ -375,19 +510,18 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
 
     for it in range(1, max_iter + 1):
         rp = std.b - std.a_dot(X)
-        aty = std.at_y(y)
-        Rd = [std.C[k] - aty[k] - S[k] for k in range(len(sizes))]
-        mu = float(np.real(sum(np.vdot(X[k], S[k]) for k in range(len(sizes))))) / nu
+        Rd = [c - a - s for c, a, s in zip(C, std.at_y(y), S)]
+        mu = _inner(X, S) / nu
 
-        cx = float(np.real(sum(np.vdot(std.C[k], X[k]) for k in range(len(sizes)))))
+        cx = _inner(C, X)
         by = float(std.b @ y)
         pinf = float(np.linalg.norm(rp)) / b_norm
-        dinf = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in Rd))) / c_scale
+        dinf = _norm(Rd) / c_scale
         relgap = abs(cx - by) / (1.0 + abs(cx) + abs(by))
 
         score = max(pinf, dinf, relgap)
         if best is None or score < best[0]:
-            best = (score, [x.copy() for x in X], y.copy(), [s.copy() for s in S])
+            best = (score, X, y, S)
         if pinf <= tol and dinf <= tol and relgap <= tol:
             sol = finish("optimal")
             sol.dual_residual = dinf
@@ -399,94 +533,77 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
             sol.dual_residual = dinf
             return sol
 
-        norm_now = max(
-            np.sqrt(sum(np.linalg.norm(X[k]) ** 2 for k in range(len(sizes)))),
-            float(np.linalg.norm(y)),
-            np.sqrt(sum(np.linalg.norm(S[k]) ** 2 for k in range(len(sizes)))),
-        )
+        norm_now = max(_norm(X), float(np.linalg.norm(y)), _norm(S))
         if norm_now > 1e8 * norm0:
             if by > 0:
                 ray = std.at_y(y / max(by, 1e-300))
-                lam_max = max(float(np.linalg.eigvalsh(hermitize(z))[-1]) for z in ray)
+                lam_max = max(float(np.linalg.eigvalsh(hermitize(z))[:, -1].max()) for z in ray)
                 if lam_max <= 1e-6 * (1.0 + np.linalg.norm(y) / max(by, 1e-300)):
                     return finish("infeasible", "diverging dual improving ray")
             if cx < 0:
-                xnorm = np.sqrt(sum(np.linalg.norm(X[k]) ** 2 for k in range(len(sizes))))
-                if np.linalg.norm(std.a_dot(X)) <= 1e-6 * xnorm:
+                if np.linalg.norm(std.a_dot(X)) <= 1e-6 * _norm(X):
                     return finish("unbounded", "diverging primal improving ray")
             return finish("numerical_error", "iterates diverged", use_best=True)
 
-        # Nesterov-Todd scaling point per block
+        # Nesterov-Todd scaling point, one batched call per group
         W, Wh, Whi, V = [], [], [], []
         try:
-            for k in range(len(sizes)):
-                s_h = _eig_pow(S[k], 0.5)
-                s_hi = _eig_pow(S[k], -0.5)
-                t_h = _eig_pow(s_h @ X[k] @ s_h, 0.5)
+            for x, s in zip(X, S):
+                s_h, s_hi = _eig_pow(s, 0.5, -0.5)
+                (t_h,) = _eig_pow(s_h @ x @ s_h, 0.5)
                 w = hermitize(s_hi @ t_h @ s_hi)
+                w_h, w_hi = _eig_pow(w, 0.5, -0.5)
                 W.append(w)
-                Wh.append(_eig_pow(w, 0.5))
-                Whi.append(_eig_pow(w, -0.5))
-                V.append(hermitize((Whi[k] @ X[k] @ Whi[k] + Wh[k] @ S[k] @ Wh[k]) / 2.0))
+                Wh.append(w_h)
+                Whi.append(w_hi)
+                V.append(hermitize((w_hi @ x @ w_hi + w_h @ s @ w_h) / 2.0))
         except np.linalg.LinAlgError:
             return finish("numerical_error", "scaling-point factorization failed", use_best=True)
 
         v_eigs = [np.linalg.eigh(v) for v in V]
+        vv = [v @ v for v in V]
+        wrdw = [w @ r @ w for w, r in zip(W, Rd)]
 
-        # Schur complement M = A W (.) W A^T
-        Mmat = np.zeros((m, m))
-        for k in range(len(sizes)):
-            waw = np.einsum("ab,rbc,cd->rad", W[k], amats[k], W[k], optimize=True)
-            Mmat += std.Ab[k] @ svec_stack(waw).T
-        Mmat = (Mmat + Mmat.T) / 2.0
+        msolve = None  # frees the previous factor before the next m x m matrix is built
         try:
-            msolve = _chol_solve_psd(Mmat)
+            msolve = _chol_solve_psd(std.schur(Wh))
         except (np.linalg.LinAlgError, ValueError):
             return finish("numerical_error", "Schur complement factorization failed", use_best=True)
 
         def direction(rv):
             # dX + W dS W = Rc,  A dX = rp,  A^T dy + dS = Rd
             rc = []
-            for k in range(len(sizes)):
-                lam, q = v_eigs[k]
-                u = dagger(q) @ rv[k] @ q
-                denom = lam[:, None] + lam[None, :]
+            for (lam, q), r, w_h in zip(v_eigs, rv, Wh):
+                u = dagger(q) @ r @ q
+                denom = lam[:, :, None] + lam[:, None, :]
                 z = q @ (2.0 * u / denom) @ dagger(q)
-                rc.append(hermitize(Wh[k] @ z @ Wh[k]))
-            rhs = rp.copy()
-            for k in range(len(sizes)):
-                rhs -= std.Ab[k] @ svec(rc[k] - W[k] @ Rd[k] @ W[k])
-            dy = msolve(rhs)
-            aty_d = std.at_y(dy)
-            dS = [hermitize(Rd[k] - aty_d[k]) for k in range(len(sizes))]
-            dX = [hermitize(rc[k] - W[k] @ dS[k] @ W[k]) for k in range(len(sizes))]
+                rc.append(hermitize(w_h @ z @ w_h))
+            dy = msolve(rp - std.a_dot([c - t for c, t in zip(rc, wrdw)]))
+            dS = [hermitize(r - a) for r, a in zip(Rd, std.at_y(dy))]
+            dX = [hermitize(c - w @ ds @ w) for c, w, ds in zip(rc, W, dS)]
             return dX, dy, dS
 
         # predictor
-        rv_aff = [-(v @ v) for v in V]
-        dXa, dya, dSa = direction(rv_aff)
-        ap = min(1.0, min(_max_step(X[k], dXa[k]) for k in range(len(sizes))))
-        ad = min(1.0, min(_max_step(S[k], dSa[k]) for k in range(len(sizes))))
-        mu_aff = float(
-            np.real(sum(np.vdot(X[k] + ap * dXa[k], S[k] + ad * dSa[k]) for k in range(len(sizes))))
-        ) / nu
+        dXa, dya, dSa = direction([-t for t in vv])
+        ap = min(1.0, min(_max_step(x, d) for x, d in zip(X, dXa)))
+        ad = min(1.0, min(_max_step(s, d) for s, d in zip(S, dSa)))
+        mu_aff = _inner([x + ap * d for x, d in zip(X, dXa)], [s + ad * d for s, d in zip(S, dSa)]) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
         # corrector
         rv = []
-        for k in range(len(sizes)):
-            dxs = Whi[k] @ dXa[k] @ Whi[k]
-            dss = Wh[k] @ dSa[k] @ Wh[k]
+        for e, t, w_h, w_hi, dxa, dsa in zip(eyes, vv, Wh, Whi, dXa, dSa):
+            dxs = w_hi @ dxa @ w_hi
+            dss = w_h @ dsa @ w_h
             cross = (dxs @ dss + dss @ dxs) / 2.0
-            rv.append(sigma * mu * np.eye(sizes[k]) - V[k] @ V[k] - cross)
+            rv.append(sigma * mu * e - t - cross)
         dX, dy, dS = direction(rv)
 
         gamma = 0.98
-        ap = min(1.0, gamma * min(_max_step(X[k], dX[k]) for k in range(len(sizes))))
-        ad = min(1.0, gamma * min(_max_step(S[k], dS[k]) for k in range(len(sizes))))
-        for k in range(len(sizes)):
-            X[k] = hermitize(X[k] + ap * dX[k])
-            S[k] = hermitize(S[k] + ad * dS[k])
+        ap = min(1.0, gamma * min(_max_step(x, d) for x, d in zip(X, dX)))
+        ad = min(1.0, gamma * min(_max_step(s, d) for s, d in zip(S, dS)))
+        X = [hermitize(x + ap * d) for x, d in zip(X, dX)]
+        S = [hermitize(s + ad * d) for s, d in zip(S, dS)]
         y = y + ad * dy
 
     return finish("max_iter", "iteration limit reached", use_best=True)

@@ -44,8 +44,8 @@ def tensor(*ops):
 
 
 def dagger(x):
-    """Conjugate transpose."""
-    return np.asarray(x).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.asarray(x).conj().swapaxes(-1, -2)
 
 
 def frobenius_inner(a, b):
@@ -64,7 +64,7 @@ def is_hermitian(x, tol=HERM_TOL):
 
 
 def hermitize(x):
-    """Project onto the Hermitian part, (x + x^dag)/2."""
+    """Project onto the Hermitian part, (x + x^dag)/2, matrix-wise on a stack."""
     x = np.asarray(x, dtype=complex)
     return (x + dagger(x)) / 2.0
 

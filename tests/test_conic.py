@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from telerobust.conic import (
     SdpProblem,
     SolverError,
+    _Standard,
     smat,
+    smat_stack,
     solve,
     solve_checked,
     svec,
+    svec_stack,
     verify_certificate,
 )
 from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose
+from telerobust.qobjects import bell_povm, build_instrument, isotropic_state
+from telerobust.rot import rot_primal_problem
 
 
 def _min_trace_problem():
@@ -214,3 +219,99 @@ def test_random_feasible_sdp_certificates(seed):
     assert sol.status == "optimal"
     rep = verify_certificate(prob, sol)
     assert rep.ok, rep.messages
+
+
+def _rand_herm(rng, n):
+    return hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def _mixed_problem(rng):
+    """A PPT block, PSD blocks of its size and another, inequality and scalar rows."""
+    prob = SdpProblem()
+    x = prob.add_block(4, cone="ppt", ppt_dims=(2, 2))
+    y = prob.add_block(3)
+    z = prob.add_block(4)
+    prob.set_objective({x: _rand_herm(rng, 4), y: _rand_herm(rng, 3)}, sense="max")
+    prob.add_operator_equality([(x, 1.0), (z, -1.0)], _rand_herm(rng, 4))
+    prob.add_constraint({x: _rand_herm(rng, 4), y: _rand_herm(rng, 3)}, "<=", 1.0)
+    prob.add_constraint({y: _rand_herm(rng, 3)}, ">=", -1.0)
+    prob.add_constraint({y: np.eye(3)}, "=", 1.0)
+    return prob
+
+
+def _dense_rows(prob, std):
+    """Dense (m, n*n) standard-form rows of every block, from the declared problem.
+
+    Slack rows carry the sign of their inequality; each PPT block is tied
+    to its companion by rows <E_r, companion> - <E_r^{T_B}, block> = 0.
+    """
+    ab = [np.zeros((std.m, n * n)) for n in std.sizes]
+    for i, (coeffs, _, _) in enumerate(prob.constraints):
+        for k, v in coeffs.items():
+            ab[k][i] = svec(v)
+    for row, blk, sign in std.slack_rows:
+        ab[blk][row, 0] = sign
+    r0 = std.m_user
+    for i, k2 in std.companion.items():
+        blk = prob.blocks[i]
+        q = blk.size**2
+        for r in range(q):
+            e = smat(np.eye(q)[r], blk.size)
+            ab[k2][r0 + r] = svec(e)
+            ab[i][r0 + r] = -svec(partial_transpose(e, blk.ppt_dims, 1))
+        r0 += q
+    return ab
+
+
+def _stacks(std, blocks):
+    return [np.stack([blocks[k] for k in g.idx]) for g in std.groups]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_support_assembly_matches_dense_reference(seed):
+    """Row support, A X, A^T y and the Schur matrix against dense rows."""
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng)
+    std = _Standard(prob)
+    ab = _dense_rows(prob, std)
+    assert len(std.slack_rows) == 2 and len(std.companion) == 1
+
+    # the support holds exactly the nonzero dense rows
+    for g in std.groups:
+        for b, k in enumerate(g.idx):
+            sel = slice(g.starts[b], g.starts[b + 1])
+            dense = np.zeros_like(ab[k])
+            dense[g.rows[sel]] = g.coef[sel]
+            np.testing.assert_array_equal(dense, ab[k])
+
+    xs = [_rand_herm(rng, n) for n in std.sizes]
+    ref = sum(ab[k] @ svec(xs[k]) for k in range(len(xs)))
+    np.testing.assert_allclose(std.a_dot(_stacks(std, xs)), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    yv = rng.standard_normal(std.m)
+    for k, got in enumerate(std.unstack(std.at_y(yv))):
+        np.testing.assert_allclose(got, smat(ab[k].T @ yv, std.sizes[k]), rtol=0, atol=1e-12)
+
+    wh = []
+    for n in std.sizes:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wh.append(g @ dagger(g) + np.eye(n))
+    ref = np.zeros((std.m, std.m))
+    for k, n in enumerate(std.sizes):
+        w = wh[k] @ wh[k]
+        ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
+    got = std.schur(_stacks(std, wh))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_d4_bell_isotropic_primal_compiles_within_footprint():
+    """The d = 4 primal (8448 rows, 50 blocks) keeps under 100 MB of rows.
+
+    Dense rows for every block would take 8 * 8448 * (49 * 256 + 16)
+    bytes = 0.85 GB.  Nothing is solved here.
+    """
+    prob, _, _ = rot_primal_problem(build_instrument(bell_povm(4), isotropic_state(0.5, 4)))
+    std = _Standard(prob)
+    assert std.m == 8448
+    assert len(std.sizes) == 50
+    kept = sum(a.nbytes for g in std.groups for a in (g.rows, g.coef, g.starts, g.owner, g.C))
+    assert kept < 100e6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from telerobust.conic import SolverError
+from telerobust.conic import SolverError, verify_certificate
 from telerobust.linalg import (
     dagger,
     frobenius_norm,
@@ -114,6 +114,24 @@ class TestHandCertificates:
             assert min_eig(p) >= -1e-6 and min_eig(q) >= -1e-6
             resid = sol.B_op - a_op - p - partial_transpose(q, (d_v, d_b), 1)
             assert frobenius_norm(resid) <= 1e-6
+
+
+_BELL_ISOTROPIC = [(2, k / 10) for k in range(11)] + [(2, 1.0 / 3.0), (3, 0.1), (3, 0.25), (3, 0.8)]
+
+
+@pytest.mark.parametrize("d, p", _BELL_ISOTROPIC)
+def test_bell_isotropic_closed_form(d, p):
+    """T = max(0, d * F_ent - 1), F_ent = p + (1 - p) / d^2, by both routes.
+
+    p = 1/(d + 1) is the entanglement threshold: T = 0 there and the
+    interior-point method is most degenerate.
+    """
+    inst = build_instrument(bell_povm(d), _isotropic(p, d))
+    expected = max(0.0, d * (p + (1.0 - p) / d**2) - 1.0)
+    for sol in (rot_primal(inst), rot_dual(inst)):
+        assert abs(sol.value - expected) <= 1e-6
+        report = verify_certificate(sol.problem, sol.solution)
+        assert report.ok, report.messages
 
 
 class TestOracleValues:
