@@ -7,7 +7,10 @@ All randomness sits behind ``--seed`` with a fixed default, so a rerun
 of any command line reproduces its output.
 
 Exit codes: 0 success, 2 unknown command or bad flags, 3 invalid or
-inconsistent input files, 4 solver failure.
+inconsistent input files, 4 solver failure, 5 internal numerical failure
+(valid inputs, but a derived quantity came out degenerate, such as a
+vanishing classical benchmark or a negative eigenvalue in an inverse
+square root).
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import time
 
 import numpy as np
 
-from .conic import SolverError
+from .conic import NumericalError, SolverError
 from .discrim import (
     DiscriminationInstrument,
     build_discrimination_from_dual,
+    checked_denominator,
     classical_p_succ_ensemble,
     classical_p_succ_product,
     p_succ,
@@ -73,6 +77,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_SOLVER = 4
+EXIT_NUMERIC = 5
 
 _FAMILIES = ("identity_only", "pauli_group", "seesaw_polished")
 
@@ -312,9 +317,7 @@ def cmd_discrim_classical(args):
 def cmd_discrim_ratio(args):
     e = _pick(args.e, DiscriminationInstrument, "discrimination instrument")
     instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    denominator = classical_p_succ_ensemble(e, tol=_tol(args, 1e-9))
-    if denominator < 1e-12:
-        raise ValueError("classical benchmark is degenerate; ratio undefined")
+    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=_tol(args, 1e-9)))
     numerator = p_succ(e, instr)
     return ResultRecord(
         command="discrim ratio",
@@ -478,6 +481,17 @@ def cmd_sweep(args):
     return None
 
 
+def _positive_int(text):
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _leaf(p, handler):
     p.add_argument("--tol", type=float, default=None, help="numerical tolerance (command-specific default)")
     p.add_argument("--seed", type=int, default=0, help="seed for any sampled quantity (default 0)")
@@ -547,7 +561,7 @@ def build_parser():
     dis_sub = dis_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     p = dis_sub.add_parser("build-from-dual", help="near-optimal discrimination task from a certificate")
     p.add_argument("--instrument", required=True)
-    p.add_argument("--fictitious", type=int, default=10_000, help="padding branch count (default 10000)")
+    p.add_argument("--fictitious", type=_positive_int, default=10_000, help="padding branch count (default 10000)")
     p.add_argument("--save", required=True)
     _leaf(p, cmd_discrim_build_from_dual)
     p = dis_sub.add_parser("psucc", help="guessing probability with an instrument")
@@ -601,6 +615,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE

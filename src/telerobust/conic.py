@@ -35,13 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import dagger, hermitize
+from .linalg import NumericalError, dagger, hermitize
 
 __all__ = [
     "SdpProblem",
     "SdpSolution",
     "CertificateReport",
     "SolverError",
+    "NumericalError",
     "solve",
     "solve_checked",
     "verify_certificate",

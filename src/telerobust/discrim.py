@@ -21,6 +21,7 @@ import numpy as np
 
 from .conic import SdpProblem, solve_checked
 from .linalg import (
+    NumericalError,
     dagger,
     hermitize,
     max_entangled,
@@ -52,6 +53,7 @@ __all__ = [
     "classical_p_succ_product",
     "build_discrimination_from_dual",
     "advantage_ratio",
+    "checked_denominator",
     "pauli_twirl_instrument",
     "rand_discrimination_instrument",
 ]
@@ -66,14 +68,33 @@ class DiscriminationInstrument:
     Each branch is a completely positive map with matching input and
     output dimension, stored by its Choi operator; the branches must sum
     to a trace-preserving map.
+
+    A branch that occurs k times is stored once, with multiplicity k
+    (default 1 for every branch).  ``subchannels`` and ``mats`` hold the
+    distinct branches; ``outcomes`` counts branches with multiplicity,
+    sum_x k_x.  Only sums over all branches weight by k_x (the
+    trace-preserving check); a max over branches, or one variable per
+    branch, is unchanged by copies and runs over the distinct ones.
     """
 
     subchannels: list
+    multiplicities: list | None = None
     validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if not self.subchannels:
             raise ValueError("at least one subchannel required")
+        if self.multiplicities is None:
+            self.multiplicities = [1] * len(self.subchannels)
+        if len(self.multiplicities) != len(self.subchannels):
+            raise ValueError(
+                f"{len(self.multiplicities)} multiplicities for "
+                f"{len(self.subchannels)} subchannels"
+            )
+        for k in self.multiplicities:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+                raise ValueError(f"multiplicity {k!r} is not a positive integer")
+        self.multiplicities = [int(k) for k in self.multiplicities]
         ops = []
         for s in self.subchannels:
             if isinstance(s, ChoiOperator):
@@ -90,7 +111,10 @@ class DiscriminationInstrument:
         self.subchannels = ops
         if self.validate:
             d = ops[0].in_dim
-            total = sum(partial_trace(o.matrix, (d, d), keep=(0,)) for o in ops)
+            total = sum(
+                k * partial_trace(o.matrix, (d, d), keep=(0,))
+                for k, o in zip(self.multiplicities, ops)
+            )
             if np.linalg.norm(total - np.eye(d) / d) > _SUM_TOL:
                 raise ValueError("subchannels do not sum to a trace-preserving map")
 
@@ -100,7 +124,7 @@ class DiscriminationInstrument:
 
     @property
     def outcomes(self):
-        return len(self.subchannels)
+        return sum(self.multiplicities)
 
     @property
     def mats(self):
@@ -166,22 +190,10 @@ class DiscrimConstruction:
 
 
 def _branch_scores(e: DiscriminationInstrument, j):
-    """d_V^2 tr[(I (x) E_x)[J] phi+] for every branch, deduplicated.
-
-    Identical branches (the padding of built instruments) are evaluated
-    once and the score replicated, keyed by the exact matrix bytes.
-    """
+    """d_V^2 tr[(I (x) E_x)[J] phi+] for every distinct branch."""
     d = e.dim
     phi = max_entangled(d)
-    cache = {}
-    scores = np.empty(e.outcomes)
-    for x, c in enumerate(e.mats):
-        key = c.tobytes()
-        if key not in cache:
-            y = choi_apply_second(c, d, d, j, d)
-            cache[key] = d * d * float(np.vdot(phi, y).real)
-        scores[x] = cache[key]
-    return scores
+    return [d * d * float(np.vdot(phi, choi_apply_second(c, d, d, j, d)).real) for c in e.mats]
 
 
 def p_succ(e: DiscriminationInstrument, instr: TeleportationInstrument) -> float:
@@ -241,20 +253,17 @@ def classical_p_succ_ensemble(e: DiscriminationInstrument, tol=1e-9) -> float:
     Maximizes d_V^2 sum_x tr[(I (x) E_x)[F_x] phi+] over PPT operators
     F_x >= 0 with sum_x F_x = (1/d_V) 1 (x) tau for a state tau; the
     post-processing is absorbed into the variables because the classical
-    set is closed under relabeling.  Branches with identical Choi
-    operators share one variable — splitting a PPT operator across
-    identical payoffs changes nothing.
+    set is closed under relabeling.  A branch of multiplicity k gets one
+    variable — splitting a PPT operator across k identical payoffs
+    changes nothing.
     """
     d = e.dim
     n = d * d
     payoffs = _guess_pullbacks(e)
-    unique = {}
-    for c, w in zip(e.mats, payoffs):
-        unique.setdefault(c.tobytes(), w)
     prob = SdpProblem()
-    blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d, d)) for _ in unique]
+    blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d, d)) for _ in payoffs]
     tau = prob.add_block(d)
-    prob.set_objective({b: w for b, w in zip(blocks, unique.values())}, sense="max")
+    prob.set_objective(dict(zip(blocks, payoffs)), sense="max")
     terms = [(b, 1.0) for b in blocks]
     terms.append((tau, lambda t: (-1.0 / d) * tensor(np.eye(d), t)))
     prob.add_operator_equality(terms, np.zeros((n, n)))
@@ -286,9 +295,10 @@ def build_discrimination_from_dual(dual: RotDualSolution, fictitious=10_000):
     guessing them witnesses the certificate value — and ``fictitious``
     identical padding branches absorb the leftover weight
     (1/(N d_V^2)) 1 (x) (1 - alpha sum_x tr_V A_x), keeping the total
-    trace-preserving.  Every branch is validated completely positive and
-    the summed adjoint unital.  Returns the instrument together with a
-    DiscrimConstruction carrying alpha and the branch count.
+    trace-preserving; the padding is stored once, with multiplicity N.
+    Every branch is validated completely positive and the summed adjoint
+    unital.  Returns the instrument together with a DiscrimConstruction
+    carrying alpha and the branch count.
     """
     d_v, d_b = dual.dims
     if d_v != d_b:
@@ -302,7 +312,7 @@ def build_discrimination_from_dual(dual: RotDualSolution, fictitious=10_000):
     )
     top = float(np.linalg.eigvalsh(stack)[-1])
     if top < 1e-12:
-        raise ValueError("witnesses have vanishing marginal; cannot normalize")
+        raise NumericalError("witnesses have vanishing marginal; cannot normalize")
     alpha = 1.0 / top
     adjoints = [(alpha / d) * hermitize(a_op) for a_op in dual.witnesses_A]
     pad_adj = (1.0 / (fictitious * d * d)) * tensor(np.eye(d), np.eye(d) - alpha * stack)
@@ -318,19 +328,22 @@ def build_discrimination_from_dual(dual: RotDualSolution, fictitious=10_000):
     if np.linalg.norm(unital - np.eye(d)) > 1e-10:
         raise ValueError("summed adjoint is not unital; branches do not form a channel")
 
-    chois = [hermitize(choi_adjoint(adj, d, d)) for adj in adjoints]
-    pad = hermitize(choi_adjoint(pad_adj, d, d))
-    chois.extend([pad.copy() for _ in range(fictitious)])
-    instr = DiscriminationInstrument(chois)
+    chois = [hermitize(choi_adjoint(adj, d, d)) for adj in adjoints + [pad_adj]]
+    instr = DiscriminationInstrument(chois, [1] * len(adjoints) + [fictitious])
     cons = DiscrimConstruction(alpha, fictitious, dual)
     return instr, cons
 
 
+def checked_denominator(benchmark: float) -> float:
+    """A classical benchmark fit to divide by; raises if it vanishes."""
+    if benchmark < 1e-12:
+        raise NumericalError("classical benchmark is degenerate; ratio undefined")
+    return benchmark
+
+
 def advantage_ratio(e: DiscriminationInstrument, instr: TeleportationInstrument, tol=1e-9) -> float:
     """Quantum-over-classical guessing ratio for a fixed branch family."""
-    denominator = classical_p_succ_ensemble(e, tol=tol)
-    if denominator < 1e-12:
-        raise ValueError("classical benchmark is degenerate; ratio undefined")
+    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=tol))
     return p_succ(e, instr) / denominator
 
 

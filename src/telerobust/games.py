@@ -21,6 +21,7 @@ import numpy as np
 
 from .conic import SdpProblem, solve_checked
 from .linalg import (
+    NumericalError,
     dagger,
     hermitize,
     is_hermitian,
@@ -367,7 +368,7 @@ def build_game_from_dual(dual: RotDualSolution, tol=1e-9) -> CorrelationGame:
             targets.append(clipped / weight)
             scores.append(weight)
     if all(s == 0.0 for s in scores):
-        raise ValueError("all witnesses have zero trace; the certificate is degenerate")
+        raise NumericalError("all witnesses have zero trace; the certificate is degenerate")
     return CorrelationGame(sigma, targets, np.asarray(scores))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "tensor",
     "dagger",
     "frobenius_inner",
@@ -33,6 +34,17 @@ __all__ = [
 
 # Tolerance used when symmetrizing operators that are Hermitian up to noise.
 HERM_TOL = 1e-10
+
+
+class NumericalError(ValueError):
+    """An internal computation met a value it cannot proceed from.
+
+    Distinct from invalid input: the inputs passed validation, but a
+    derived quantity (a benchmark, a marginal, an eigenvalue) came out
+    degenerate.  Defined here, at the bottom of the import graph, so
+    every module can raise it; ``conic`` re-exports it next to
+    ``SolverError``.
+    """
 
 
 def tensor(*ops):
@@ -207,6 +219,6 @@ def pinv_sqrt(x, cutoff=1e-10, tol=1e-10):
     vals, vecs = herm_eig(x)
     scale = max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1e-300)
     if vals[0] < -tol * max(1.0, scale):
-        raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e}")
+        raise NumericalError(f"matrix has negative eigenvalue {vals[0]:.3e}")
     inv = np.where(vals > cutoff * scale, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
     return (vecs * inv) @ dagger(vecs)

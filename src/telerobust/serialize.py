@@ -6,6 +6,13 @@ by humans, so no binary format.  Python's shortest-round-trip float
 representation keeps every value lossless through a dump/load cycle.
 Every decoder reports failures with the JSON path to the offending
 entry, so a broken file points at itself.
+
+Experiment files are ``{"version": 2, "objects": {name: payload}}``.  A
+discrimination payload lists each distinct branch once under
+``"subchannels"`` and, under ``"multiplicities"``, one positive integer
+per branch: how many times it occurs.  Version 1 files, which wrote
+every branch out and had no multiplicities, are still read; their exactly
+equal branches are merged into one branch with a multiplicity.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ __all__ = [
     "file_digest",
 ]
 
-FILE_VERSION = 1
+FILE_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 class FileFormatError(ValueError):
@@ -188,6 +196,7 @@ def encode_object(obj):
             "type": "discrimination",
             "dim": d,
             "subchannels": [encode_matrix(m, (d, d)) for m in obj.mats],
+            "multiplicities": list(obj.multiplicities),
         }
     if isinstance(obj, TomographyData):
         return {
@@ -252,7 +261,7 @@ def _decode_game(obj, path):
     return _wrap(path, lambda: CorrelationGame(state, targets, scores))
 
 
-def _decode_discrimination(obj, path):
+def _discrimination_branches(obj, path):
     d = obj.get("dim")
     _expect(
         isinstance(d, int) and not isinstance(d, bool) and d >= 2,
@@ -266,7 +275,36 @@ def _decode_discrimination(obj, path):
             f"{path}.subchannels[{i}]",
             f"shape {m.shape} does not match dim {d}",
         )
-    return _wrap(path, lambda: DiscriminationInstrument(mats))
+    return mats
+
+
+def _decode_discrimination(obj, path):
+    mats = _discrimination_branches(obj, path)
+    mults = obj.get("multiplicities")
+    where = f"{path}.multiplicities"
+    _expect(isinstance(mults, list), where, f"expected a list of {len(mats)} positive integers")
+    _expect(len(mults) == len(mats), where, f"expected {len(mats)} entries, got {len(mults)}")
+    for i, k in enumerate(mults):
+        _expect(
+            isinstance(k, int) and not isinstance(k, bool) and k >= 1,
+            f"{where}[{i}]",
+            "expected a positive integer",
+        )
+    return _wrap(path, lambda: DiscriminationInstrument(mats, mults))
+
+
+def _decode_discrimination_v1(obj, path):
+    """Version 1 wrote every branch out: merge exact copies, first occurrence first."""
+    first, mats, mults = {}, [], []
+    for m in _discrimination_branches(obj, path):
+        key = m.tobytes()
+        if key in first:
+            mults[first[key]] += 1
+        else:
+            first[key] = len(mats)
+            mats.append(m)
+            mults.append(1)
+    return _wrap(path, lambda: DiscriminationInstrument(mats, mults))
 
 
 def _decode_tomography(obj, path):
@@ -323,8 +361,11 @@ _DECODERS = {
     "quantum_sim": _decode_quantum_sim,
 }
 
+# Decoders of older file versions, where a payload differs from the current one.
+_LEGACY_DECODERS = {1: {"discrimination": _decode_discrimination_v1}}
 
-def decode_object(obj, path="object"):
+
+def decode_object(obj, path="object", version=FILE_VERSION):
     _expect(isinstance(obj, dict), path, "expected an object")
     kind = obj.get("type")
     _expect(
@@ -332,7 +373,8 @@ def decode_object(obj, path="object"):
         f"{path}.type",
         f"unknown type {kind!r}; expected one of {sorted(_DECODERS)}",
     )
-    return _DECODERS[kind](obj, path)
+    decoder = _LEGACY_DECODERS.get(version, {}).get(kind, _DECODERS[kind])
+    return decoder(obj, path)
 
 
 def save_experiment(path, objects):
@@ -356,11 +398,16 @@ def load_experiment(path):
     except json.JSONDecodeError as exc:
         raise FileFormatError(str(path), f"not valid JSON: {exc}") from exc
     _expect(isinstance(payload, dict), "$", "expected a JSON object")
-    _expect(payload.get("version") == FILE_VERSION, "$.version", f"expected {FILE_VERSION}")
+    version = payload.get("version")
+    _expect(
+        isinstance(version, int) and not isinstance(version, bool) and version in READABLE_VERSIONS,
+        "$.version",
+        f"expected one of {list(READABLE_VERSIONS)}",
+    )
     objs = payload.get("objects")
     _expect(isinstance(objs, dict) and objs, "$.objects", "expected a non-empty object map")
     return {
-        name: decode_object(obj, f"$.objects.{name}") for name, obj in objs.items()
+        name: decode_object(obj, f"$.objects.{name}", version) for name, obj in objs.items()
     }
 
 

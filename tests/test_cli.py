@@ -1,16 +1,25 @@
 """End-to-end command-line tests: every subcommand, exit codes, sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from telerobust import cli
 from telerobust.conic import SolverError, verify_certificate
-from telerobust.discrim import pauli_twirl_instrument
-from telerobust.qobjects import choi_apply, ideal_instrument, isotropic_state, pauli_six
-from telerobust.rot import rot_dual_problem, rot_primal_problem
+from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
+from telerobust.qobjects import (
+    bell_povm,
+    build_instrument,
+    choi_apply,
+    ideal_instrument,
+    isotropic_state,
+    pauli_six,
+)
+from telerobust.rot import rot_dual, rot_dual_problem, rot_primal_problem
 from telerobust.serialize import (
+    FileFormatError,
     TomographyData,
     load_experiment,
     record_loads,
@@ -29,11 +38,17 @@ def files(tmp_path_factory):
         "ideal3": root / "ideal3.json",
         "pauli6": root / "pauli6.json",
         "twirl": root / "pauli_twirl.json",
+        "iso07": root / "iso07.json",
+        "task40": root / "task40.json",
     }
     save_experiment(paths["ideal2"], {"instrument": ideal_instrument(2)})
     save_experiment(paths["ideal3"], {"instrument": ideal_instrument(3)})
     save_experiment(paths["pauli6"], {"probes": pauli_six()})
     save_experiment(paths["twirl"], {"e": pauli_twirl_instrument(2)})
+    iso07 = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+    save_experiment(paths["iso07"], {"instrument": iso07})
+    task40, _ = build_discrimination_from_dual(rot_dual(iso07), fictitious=40)
+    save_experiment(paths["task40"], {"task": task40})
     return paths
 
 
@@ -109,6 +124,54 @@ class TestExitCodes:
         code = cli.main(["rot", "dual", "--instrument", str(files["ideal2"])])
         assert code == 4
         assert "solver exploded" in capsys.readouterr().err
+
+    def test_degenerate_benchmark_exits_5(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        code = cli.main(
+            ["discrim", "ratio", "--e", str(files["twirl"]), "--instrument", str(files["ideal2"])]
+        )
+        assert code == 5
+        assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1", "ten"])
+    def test_non_positive_fictitious_exits_2(self, files, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["discrim", "build-from-dual", "--instrument", str(files["ideal2"]),
+                 "--fictitious", count, "--save", str(tmp_path / "task.json")]
+            )
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "task.json").exists()
+
+    @pytest.mark.parametrize(
+        "mults, where",
+        [
+            ([1, 1, 1, 1, 0], r"multiplicities\[4\]"),
+            ([1, 1, 1, 1, -1], r"multiplicities\[4\]"),
+            ([1, 1, 1, 1, 1.5], r"multiplicities\[4\]"),
+            ([1, 1, 1, 1, True], r"multiplicities\[4\]"),
+            ([1, 1, 1, 1, "40"], r"multiplicities\[4\]"),
+            ([1, 1, 1, 1], r"multiplicities:"),
+            (None, r"multiplicities:"),
+        ],
+        ids=["zero", "negative", "fraction", "bool", "string", "wrong_length", "missing"],
+    )
+    def test_tampered_multiplicities_exit_3_with_path(self, files, tmp_path, capsys, mults, where):
+        payload = json.loads(files["task40"].read_text(encoding="utf-8"))
+        assert payload["objects"]["task"]["multiplicities"] == [1, 1, 1, 1, 40]
+        if mults is None:
+            del payload["objects"]["task"]["multiplicities"]
+        else:
+            payload["objects"]["task"]["multiplicities"] = mults
+        bad = tmp_path / "task.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        path = r"\$\.objects\.task\." + where
+        with pytest.raises(FileFormatError, match=path):
+            load_experiment(bad)
+        code = cli.main(["discrim", "ratio", "--e", str(bad), "--instrument", str(files["iso07"])])
+        assert code == 3
+        assert re.search(path, capsys.readouterr().err)
 
 
 class TestRotCompute:

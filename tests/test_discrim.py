@@ -18,7 +18,7 @@ from telerobust.discrim import (
     pauli_twirl_instrument,
     rand_discrimination_instrument,
 )
-from telerobust.linalg import max_entangled, tensor
+from telerobust.linalg import NumericalError, max_entangled, tensor
 from telerobust.qobjects import (
     ChoiOperator,
     DensityMatrix,
@@ -26,6 +26,7 @@ from telerobust.qobjects import (
     bell_povm,
     build_instrument,
     ideal_instrument,
+    isotropic_state,
     rand_povm,
     rand_state,
 )
@@ -88,6 +89,72 @@ class TestDiscriminationInstrument:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             DiscriminationInstrument([])
+
+
+def _as_copies(e):
+    """The same branches with each multiplicity written out as explicit copies."""
+    return DiscriminationInstrument(
+        [m for m, k in zip(e.mats, e.multiplicities) for _ in range(k)]
+    )
+
+
+class TestMultiplicities:
+    def test_default_is_one_per_branch(self):
+        pt = pauli_twirl_instrument(2)
+        assert pt.multiplicities == [1, 1, 1, 1] and pt.outcomes == 4
+
+    def test_built_padding_is_stored_once(self):
+        dual = rot_dual(build_instrument(bell_povm(2), isotropic_state(0.8, 2)))
+        e, cons = build_discrimination_from_dual(dual, fictitious=10_000)
+        assert len(e.mats) == len(e.subchannels) == 5
+        assert e.multiplicities == [1, 1, 1, 1, 10_000]
+        assert e.outcomes == 10_004 and cons.fictitious_count == 10_000
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+    def test_non_positive_integer_rejected(self, bad):
+        pt = pauli_twirl_instrument(2)
+        with pytest.raises(ValueError, match="multiplicity"):
+            DiscriminationInstrument(pt.mats, [1, 1, 1, bad])
+
+    def test_one_multiplicity_per_branch(self):
+        pt = pauli_twirl_instrument(2)
+        with pytest.raises(ValueError, match="4 subchannels"):
+            DiscriminationInstrument(pt.mats, [1, 1, 1])
+
+    def test_trace_preserving_check_weights_by_multiplicity(self):
+        halves = [m / 2.0 for m in pauli_twirl_instrument(2).mats]
+        assert DiscriminationInstrument(halves, [2, 2, 2, 2]).outcomes == 8
+        for wrong in ([2, 2, 2, 1], [2, 2, 2, 3]):
+            with pytest.raises(ValueError, match="trace-preserving"):
+                DiscriminationInstrument(halves, wrong)
+
+    def _assert_equivalent(self, e, instruments, strategy):
+        copies = _as_copies(e)
+        assert len(copies.mats) == e.outcomes == copies.outcomes
+        for instr in instruments:
+            assert abs(p_succ(e, instr) - p_succ(copies, instr)) <= 1e-9
+        assert abs(p_succ_strategy(e, strategy) - p_succ_strategy(copies, strategy)) <= 1e-9
+        assert abs(classical_p_succ_ensemble(e) - classical_p_succ_ensemble(copies)) <= 1e-9
+        assert abs(classical_p_succ_product(e) - classical_p_succ_product(copies)) <= 1e-9
+
+    def _strategy(self, rng):
+        return Strategy(rand_povm((2, 2), outcomes=4, rng=rng), rand_state((2, 2), rank=1, rng=rng))
+
+    def test_equivalent_to_explicit_copies_on_a_random_family(self):
+        rng = np.random.default_rng(31)
+        base = rand_discrimination_instrument(2, branches=3, rng=rng)
+        mults = [1, 2, 3]
+        e = DiscriminationInstrument([m / k for m, k in zip(base.mats, mults)], mults)
+        assert e.outcomes == 6
+        instruments = [ideal_instrument(2), _entangled_instrument(31), _product_instrument(rng)]
+        self._assert_equivalent(e, instruments, self._strategy(rng))
+
+    def test_equivalent_to_explicit_copies_on_a_built_task(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        e, _ = build_discrimination_from_dual(rot_dual(instr), fictitious=40)
+        assert e.outcomes == 44 and len(e.mats) == 5
+        rng = np.random.default_rng(32)
+        self._assert_equivalent(e, [instr, ideal_instrument(2)], self._strategy(rng))
 
 
 class TestPsucc:
@@ -269,7 +336,7 @@ class TestBuildFromDual:
         fake = RotDualSolution(
             0.0, [np.zeros((4, 4))] * 2, np.eye(4) / 2.0, [], (2, 2)
         )
-        with pytest.raises(ValueError, match="vanishing"):
+        with pytest.raises(NumericalError, match="vanishing"):
             build_discrimination_from_dual(fake)
 
     def test_rectangular_certificate_rejected(self):
@@ -302,5 +369,5 @@ class TestAdvantageRatio:
 
     def test_degenerate_denominator_guard(self, monkeypatch):
         monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(NumericalError, match="degenerate"):
             advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))

@@ -269,11 +269,12 @@ class TestBuildGameFromDual:
         assert abs(score - classical) < 1e-5
 
     def test_degenerate_dual_rejected(self):
+        from telerobust.linalg import NumericalError
         from telerobust.rot import RotDualSolution
 
         zero = np.zeros((4, 4))
         fake = RotDualSolution(0.0, [zero, zero], np.eye(4) / 2.0, [], (2, 2))
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(NumericalError, match="degenerate"):
             build_game_from_dual(fake)
 
 

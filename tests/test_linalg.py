@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust.linalg import (
+    NumericalError,
     dagger,
     frobenius_inner,
     frobenius_norm,
@@ -186,7 +187,7 @@ def test_pinv_sqrt_is_pseudo_inverse_on_range():
     proj = s @ x @ s
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
     np.testing.assert_allclose(np.trace(proj).real, 2.0, atol=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
         pinv_sqrt(-np.eye(2))
 
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust.conic import verify_certificate
-from telerobust.discrim import DiscriminationInstrument, pauli_twirl_instrument
+from telerobust.discrim import (
+    DiscriminationInstrument,
+    build_discrimination_from_dual,
+    classical_p_succ_ensemble,
+    classical_p_succ_product,
+    p_succ,
+    pauli_twirl_instrument,
+)
 from telerobust.games import CorrelationGame, build_game_from_dual
 from telerobust.qobjects import (
     DensityMatrix,
@@ -15,10 +22,13 @@ from telerobust.qobjects import (
     Povm,
     TeleportationInstrument,
     bell_povm,
+    build_instrument,
     choi_apply,
     ideal_instrument,
     isotropic_state,
     pauli_six,
+    rand_povm,
+    rand_state,
 )
 from telerobust.rot import rot_dual, rot_dual_problem
 from telerobust.serialize import (
@@ -239,6 +249,94 @@ class TestExperimentFile:
         }
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FileFormatError, match=r"\$\.objects\.broken"):
+            load_experiment(path)
+
+
+@pytest.fixture(scope="module")
+def padded():
+    """A built task with 40 padding branches, and the instrument it came from.
+
+    A generic instrument, so the padding carries weight (on isotropic
+    states the padding vanishes).
+    """
+    rng = np.random.default_rng(0)
+    instr = build_instrument(rand_povm((2, 2), 4, rng=rng), rand_state((2, 2), rank=1, rng=rng))
+    task, _ = build_discrimination_from_dual(rot_dual(instr), fictitious=40)
+    return task, instr
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+class TestDiscriminationFiles:
+    def test_version_2_writes_each_branch_once(self, padded, tmp_path):
+        task, _ = padded
+        path = tmp_path / "task.json"
+        save_experiment(path, {"task": task})
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == 2
+        assert len(payload["objects"]["task"]["subchannels"]) == 5
+        assert payload["objects"]["task"]["multiplicities"] == [1, 1, 1, 1, 40]
+        back = load_experiment(path)["task"]
+        assert back.multiplicities == task.multiplicities and back.outcomes == 44
+        for a, b in zip(back.mats, task.mats):
+            assert np.array_equal(a, b)
+
+    def test_version_1_file_is_read_with_copies_merged(self, padded, tmp_path):
+        task, instr = padded
+        new = tmp_path / "v2.json"
+        save_experiment(new, {"task": task})
+        explicit = [m for m, k in zip(task.mats, task.multiplicities) for _ in range(k)]
+        old = _write(
+            tmp_path / "v1.json",
+            {
+                "version": 1,
+                "objects": {
+                    "task": {
+                        "type": "discrimination",
+                        "dim": 2,
+                        "subchannels": [encode_matrix(m, (2, 2)) for m in explicit],
+                    }
+                },
+            },
+        )
+        legacy, current = load_experiment(old)["task"], load_experiment(new)["task"]
+        assert legacy.outcomes == 44 and len(legacy.mats) == 5
+        assert legacy.multiplicities == [1, 1, 1, 1, 40]
+        assert abs(p_succ(legacy, instr) - p_succ(current, instr)) <= 1e-12
+        assert abs(classical_p_succ_ensemble(legacy) - classical_p_succ_ensemble(current)) <= 1e-12
+        assert abs(classical_p_succ_product(legacy) - classical_p_succ_product(current)) <= 1e-12
+
+    def test_version_1_merge_keeps_first_occurrence_order(self, tmp_path):
+        halves = [m / 2.0 for m in pauli_twirl_instrument(2).mats]
+        order = [0, 1, 0, 2, 3, 1, 2, 3]
+        path = _write(
+            tmp_path / "v1.json",
+            {
+                "version": 1,
+                "objects": {
+                    "e": {
+                        "type": "discrimination",
+                        "dim": 2,
+                        "subchannels": [encode_matrix(halves[i], (2, 2)) for i in order],
+                    }
+                },
+            },
+        )
+        e = load_experiment(path)["e"]
+        assert e.multiplicities == [2, 2, 2, 2]
+        for a, b in zip(e.mats, halves):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_padding_multiplicity_off_by_one_fails_trace_preservation(self, padded, tmp_path, delta):
+        task, _ = padded
+        payload = {"version": 2, "objects": {"task": encode_object(task)}}
+        payload["objects"]["task"]["multiplicities"][4] += delta
+        path = _write(tmp_path / "off.json", payload)
+        with pytest.raises(FileFormatError, match=r"\$\.objects\.task: .*trace-preserving"):
             load_experiment(path)
 
 
