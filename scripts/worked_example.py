@@ -18,7 +18,7 @@ import sys
 from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
 from telerobust.games import UnitaryFamily, build_game_from_dual, classical_game_score, game_score
 from telerobust.qobjects import bell_povm, build_instrument, isotropic_state
-from telerobust.rot import rot_dual, rot_primal
+from telerobust.rot import rot_certified
 
 
 def main():
@@ -32,11 +32,10 @@ def main():
     instr = build_instrument(bell_povm(2), isotropic_state(args.visibility, 2))
     d_v = instr.dims[0]
 
-    primal = rot_primal(instr)
-    dual = rot_dual(instr)
-    t_val = 0.5 * (primal.value + dual.value)
+    cert = rot_certified(instr)
+    dual, t_val = cert.dual, cert.value
     print(f"instrument: Bell measurement on isotropic pair, p = {args.visibility}")
-    print(f"robustness T = {t_val:.8f}  (primal {primal.value:.8f}, dual {dual.value:.8f})")
+    print(f"robustness T = {t_val:.8f}  (primal {cert.primal.value:.8f}, dual {dual.value:.8f})")
 
     game = build_game_from_dual(dual)
     score = game_score(game, instr, UnitaryFamily("identity_only"))

@@ -53,7 +53,7 @@ from .qobjects import (
     pauli_six,
     realize_from_choi,
 )
-from .rot import rot_dual, rot_primal
+from .rot import rot, rot_certified, rot_dual
 from .serialize import (
     FileFormatError,
     ResultRecord,
@@ -136,26 +136,19 @@ def _tol(args, default):
 
 def cmd_rot_compute(args):
     instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    tol = _tol(args, 1e-8)
-    p = rot_primal(instr, tol=tol)
-    d = rot_dual(instr, tol=tol)
-    gap = abs(p.value - d.value)
-    if gap > 10.0 * tol:
-        raise SolverError(
-            f"robustness routes disagree: primal {p.value:.12g} vs dual {d.value:.12g}"
-        )
+    cert = rot_certified(instr, tol=_tol(args, 1e-8))
     return ResultRecord(
         command="rot compute",
         inputs={"instrument": file_digest(args.instrument)},
         values={
-            "robustness": 0.5 * (p.value + d.value),
-            "primal_value": p.value,
-            "dual_value": d.value,
-            "route_gap": gap,
+            "robustness": cert.value,
+            "primal_value": cert.primal.value,
+            "dual_value": cert.dual.value,
+            "route_gap": cert.width,
         },
         certificates={
-            "primal": certificate_payload(p.solution),
-            "dual": certificate_payload(d.solution),
+            "primal": certificate_payload(cert.primal.solution),
+            "dual": certificate_payload(cert.dual.solution),
         },
         warnings=_ppt_warnings(*instr.dims),
     )
@@ -464,9 +457,7 @@ def cmd_sweep(args):
     lines = ["p,robustness,fidelity,game_score,discrimination_ratio"]
     for p in grid:
         instr = build_instrument(bell, isotropic_state(p, 2))
-        prim = rot_primal(instr, tol=_tol(args, 1e-8))
-        dual = rot_dual(instr, tol=_tol(args, 1e-8))
-        t_val = 0.5 * (prim.value + dual.value)
+        t_val = rot(instr, tol=_tol(args, 1e-8))
         fid = average_fidelity(instr, probes, family)
         score = game_score(game, instr)
         ratio = p_succ(twirl, instr) / denominator
@@ -512,7 +503,7 @@ def build_parser():
 
     rot_p = sub.add_parser("rot", help="teleportation robustness")
     rot_sub = rot_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    p = rot_sub.add_parser("compute", help="both solver routes plus certificates")
+    p = rot_sub.add_parser("compute", help="robustness with primal and dual certificates")
     p.add_argument("--instrument", required=True, help="experiment file holding the instrument")
     _leaf(p, cmd_rot_compute)
     p = rot_sub.add_parser("dual", help="witness certificate only")

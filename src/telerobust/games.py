@@ -22,6 +22,7 @@ import numpy as np
 from .conic import SdpProblem, solve_checked
 from .linalg import (
     NumericalError,
+    clip_psd,
     dagger,
     hermitize,
     is_hermitian,
@@ -359,7 +360,7 @@ def build_game_from_dual(dual: RotDualSolution, tol=1e-9) -> CorrelationGame:
     n = d_v * d_b
     targets, scores = [], []
     for a_op in dual.witnesses_A:
-        clipped = _clip_psd(hermitize(a_op))
+        clipped = clip_psd(a_op)
         weight = float(np.trace(clipped).real)
         if weight <= tol:
             targets.append(np.zeros((n, n)))
@@ -370,11 +371,6 @@ def build_game_from_dual(dual: RotDualSolution, tol=1e-9) -> CorrelationGame:
     if all(s == 0.0 for s in scores):
         raise NumericalError("all witnesses have zero trace; the certificate is degenerate")
     return CorrelationGame(sigma, targets, np.asarray(scores))
-
-
-def _clip_psd(x):
-    vals, vecs = np.linalg.eigh(x)
-    return (vecs * np.clip(vals, 0.0, None)) @ dagger(vecs)
 
 
 def fidelity_game_of(inputs: InputEnsemble) -> CorrelationGame:

@@ -27,6 +27,7 @@ __all__ = [
     "herm_eig",
     "min_eig",
     "is_psd",
+    "clip_psd",
     "psd_sqrt",
     "pinv_sqrt",
     "ket",
@@ -200,12 +201,19 @@ def is_psd(x, tol=1e-9):
     return min_eig(x) >= -tol
 
 
+def clip_psd(x):
+    """Nearest PSD matrix in Frobenius norm: the Hermitian part of x with
+    its negative eigenvalues set to zero."""
+    vals, vecs = np.linalg.eigh(hermitize(x))
+    return (vecs * np.clip(vals, 0.0, None)) @ dagger(vecs)
+
+
 def psd_sqrt(x, tol=1e-10):
     """Principal square root of a PSD matrix; small negatives are clipped."""
     vals, vecs = herm_eig(x)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     if vals[0] < -tol * scale:
-        raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e}")
+        raise NumericalError(f"matrix has negative eigenvalue {vals[0]:.3e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * root) @ dagger(vecs)
 

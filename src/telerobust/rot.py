@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, SolverError, solve_checked
+from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec
 from .linalg import (
-    dagger,
+    clip_psd,
     frobenius_norm,
-    herm_eig,
     hermitize,
     max_entangled,
     min_eig,
@@ -52,8 +51,10 @@ from .qobjects import (
 __all__ = [
     "RotPrimalSolution",
     "RotDualSolution",
+    "RotCertificates",
     "rot_primal",
     "rot_dual",
+    "rot_certified",
     "rot",
     "robustness_of_entanglement",
     "rot_max_over_povm",
@@ -102,9 +103,56 @@ class RotDualSolution:
     solution: object = field(default=None, repr=False)
 
 
+@dataclass
+class RotCertificates:
+    """Both robustness certificates, read off one dual solve.
+
+    ``dual`` is the witness certificate, whose value is the lower end of
+    the certified interval; ``primal`` is the classical cover assembled
+    from the same solve's multipliers, whose value is the upper end.
+    ``value`` is the reported robustness: the midpoint of the interval,
+    clamped at zero (see :func:`rot`).
+    """
+
+    value: float
+    primal: RotPrimalSolution
+    dual: RotDualSolution
+
+    @property
+    def width(self):
+        """Length of the certified interval [dual value, primal value]."""
+        return abs(self.primal.value - self.dual.value)
+
+
 def _ensure(ok, msg):
     if not ok:
         raise SolverError(msg)
+
+
+def _check_cover(f_ops, tau_op, js, dims, tol):
+    """Check a classical cover against every primal constraint.
+
+    Each F_a must be PSD, PPT and dominate J_a, the cap 1 (x) tau -
+    d_V * sum_a F_a must be PSD, and tr(tau) - 1 must not be negative.
+    Returns the value and the slack operators (F_a - J_a for every a,
+    then the cap), which are the remaining blocks of the primal program.
+    """
+    d_v, d_b = dims
+    chk = max(50.0 * tol, 1e-9)
+    gaps = []
+    for a, (f, j) in enumerate(zip(f_ops, js)):
+        _ensure(min_eig(f) >= -chk, f"classical operator {a} not PSD")
+        _ensure(
+            min_eig(partial_transpose(f, (d_v, d_b), 1)) >= -chk,
+            f"classical operator {a} not PPT",
+        )
+        gaps.append(f - j)
+        _ensure(min_eig(gaps[-1]) >= -chk, f"classical operator {a} does not dominate outcome")
+    cap = tensor(np.eye(d_v), tau_op) - d_v * sum(f_ops)
+    _ensure(min_eig(cap) >= -chk, "classical operators exceed the 1 (x) tau cap")
+    value = float(np.trace(tau_op).real) - 1.0
+    _ensure(value >= -chk, f"negative robustness {value:.3e}")
+    return value, gaps, cap
 
 
 def rot_primal_problem(instr: TeleportationInstrument):
@@ -113,7 +161,10 @@ def rot_primal_problem(instr: TeleportationInstrument):
     Deterministic in the instrument, so a stored solution can be
     re-checked later by rebuilding the program and calling
     ``verify_certificate``.  Returns the problem and the block handles
-    of the classical operators and of tau.
+    of the classical operators and of tau.  The blocks are, in order,
+    F_a for every outcome, tau, F_a - J_a for every outcome, and the cap
+    1 (x) tau - d_V * sum_a F_a; the rows are the operator equalities
+    F_a - (F_a - J_a) = J_a, one per outcome, then the cap's.
     """
     d_v, d_b = instr.dims
     n = d_v * d_b
@@ -141,27 +192,11 @@ def rot_primal(instr: TeleportationInstrument, tol=1e-8) -> RotPrimalSolution:
     d_V * sum_a F_a <= 1 (x) tau.  The returned operators are checked
     against all constraints before the value is trusted.
     """
-    d_v, d_b = instr.dims
-    n = d_v * d_b
-    js = instr.mats
     prob, fs, tau = rot_primal_problem(instr)
-
     sol = solve_checked(prob, tol=tol, what="teleportation robustness primal")
     f_ops = [hermitize(sol.primal_blocks[f]) for f in fs]
     tau_op = hermitize(sol.primal_blocks[tau])
-    value = float(np.trace(tau_op).real) - 1.0
-
-    chk = max(50.0 * tol, 1e-9)
-    for a, (f, j) in enumerate(zip(f_ops, js)):
-        _ensure(min_eig(f) >= -chk, f"classical operator {a} not PSD")
-        _ensure(
-            min_eig(partial_transpose(f, (d_v, d_b), 1)) >= -chk,
-            f"classical operator {a} not PPT",
-        )
-        _ensure(min_eig(f - j) >= -chk, f"classical operator {a} does not dominate outcome")
-    cap = tensor(np.eye(d_v), tau_op) - d_v * sum(f_ops)
-    _ensure(min_eig(cap) >= -chk, "classical operators exceed the 1 (x) tau cap")
-    _ensure(value >= -chk, f"negative robustness {value:.3e}")
+    value, _, _ = _check_cover(f_ops, tau_op, instr.mats, instr.dims, tol)
     return RotPrimalSolution(value, f_ops, tau_op, instr.dims, problem=prob, solution=sol)
 
 
@@ -236,22 +271,71 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, problem=prob, solution=sol)
 
 
-def rot(instr: TeleportationInstrument, tol=1e-8) -> float:
-    """Cross-validated teleportation robustness.
+def _primal_from_dual(instr, dual: RotDualSolution, tol):
+    """The optimal classical cover encoded in the multipliers of a dual solve.
 
-    Runs the minimization and the witness maximization independently and
-    returns their midpoint; disagreement beyond 10 * tol is an error
-    rather than a silently wrong number.
+    The dual program's multipliers, stated for its minimization form,
+    are y_a for the a-th decomposition equality and y_tau for
+    tr_V B = 1.  Its slack conditions say that F_a = smat(y_a)/d_V is
+    PSD, PPT and dominates J_a, and that with tau = -smat(y_tau) the cap
+    1 (x) tau - d_V * sum_a F_a is PSD; its dual value is tr(tau) - 1.
+    In turn the witnesses are the primal program's multipliers:
+    svec(d_V A_a) for the a-th domination row and svec(B) for the cap,
+    and the dual slack d_V (B - A_a) of F_a splits as
+    d_V P_a + (d_V Q_a)^{T_B}.
     """
-    p = rot_primal(instr, tol=tol)
-    d = rot_dual(instr, tol=tol)
-    gap = abs(p.value - d.value)
-    if gap > 10.0 * tol:
+    d_v, d_b = instr.dims
+    n = d_v * d_b
+    js = instr.mats
+    y = dual.solution.dual_multipliers
+    f_ops = [smat(y[a * n * n : (a + 1) * n * n], n) / d_v for a in range(len(js))]
+    tau_op = -smat(y[len(js) * n * n :], d_b)
+    value, gaps, cap = _check_cover(f_ops, tau_op, js, instr.dims, tol)
+
+    prob, fs, _ = rot_primal_problem(instr)
+    sol = SdpSolution(
+        status="optimal",
+        primal_blocks=f_ops + [tau_op] + gaps + [cap],
+        dual_multipliers=np.concatenate([svec(d_v * a) for a in dual.witnesses_A] + [svec(dual.B_op)]),
+        ppt_pairs={f: (d_v * p, d_v * q) for f, (p, q) in zip(fs, dual.decompositions)},
+        primal_value=value,
+        dual_value=dual.value,
+        gap=abs(value - dual.value) / (1.0 + abs(value) + abs(dual.value)),
+        iterations=dual.solution.iterations,
+        message="assembled from the multipliers of the dual solve",
+    )
+    return RotPrimalSolution(value, f_ops, tau_op, instr.dims, problem=prob, solution=sol)
+
+
+def rot_certified(instr: TeleportationInstrument, tol=1e-8) -> RotCertificates:
+    """Teleportation robustness with both certificates, from one solve.
+
+    Solves the witness program (:func:`rot_dual`) and reads the optimal
+    classical cover off its multipliers, then checks the cover against
+    every primal constraint as :func:`rot_primal` does.  The two values
+    bound the robustness from below and above; an interval wider than
+    10 * tol is an error rather than a silently wrong number.
+    """
+    dual = rot_dual(instr, tol=tol)
+    primal = _primal_from_dual(instr, dual, tol)
+    width = abs(primal.value - dual.value)
+    if width > 10.0 * tol:
         raise SolverError(
-            f"robustness routes disagree: primal {p.value:.12g} vs dual {d.value:.12g} "
-            f"(|gap| = {gap:.3e} > {10.0 * tol:.3e})"
+            f"robustness bounds disagree: primal {primal.value:.12g} vs dual "
+            f"{dual.value:.12g} (|gap| = {width:.3e} > {10.0 * tol:.3e})"
         )
-    return 0.5 * (p.value + d.value)
+    return RotCertificates(max(0.0, 0.5 * (primal.value + dual.value)), primal, dual)
+
+
+def rot(instr: TeleportationInstrument, tol=1e-8) -> float:
+    """Certified teleportation robustness.
+
+    Returns the midpoint of the interval [dual value, primal value]
+    certified by :func:`rot_certified`, clamped at zero: T >= 0 for every
+    instrument, so a negative midpoint (a few 1e-9 at the entanglement
+    threshold) is rounding and is reported as 0.
+    """
+    return rot_certified(instr, tol=tol).value
 
 
 def robustness_of_entanglement(rho: DensityMatrix, tol=1e-8) -> float:
@@ -272,11 +356,6 @@ def robustness_of_entanglement(rho: DensityMatrix, tol=1e-8) -> float:
     prob.add_operator_equality([(sig, 1.0), (slack, -1.0)], rho.matrix)
     sol = solve_checked(prob, tol=tol, what="entanglement robustness")
     return float(sol.primal_value)
-
-
-def _clip_psd(x):
-    vals, vecs = herm_eig(x, tol=1e-8)
-    return (vecs * np.clip(vals, 0.0, None)) @ dagger(vecs)
 
 
 def _witness_pullbacks(rho, witnesses):
@@ -316,7 +395,7 @@ def _best_povm_for_witnesses(rho, witnesses, tol):
     )
     prob.add_operator_equality([(m, 1.0) for m in ms], np.eye(n))
     sol = solve_checked(prob, tol=tol, what="measurement update")
-    elems = [_clip_psd(sol.primal_blocks[m]) for m in ms]
+    elems = [clip_psd(sol.primal_blocks[m]) for m in ms]
     scale = pinv_sqrt(sum(elems))
     return Povm([hermitize(scale @ e @ scale) for e in elems], (d_v, d_a))
 

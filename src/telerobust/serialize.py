@@ -13,6 +13,16 @@ discrimination payload lists each distinct branch once under
 per branch: how many times it occurs.  Version 1 files, which wrote
 every branch out and had no multiplicities, are still read; their exactly
 equal branches are merged into one branch with a multiplicity.
+
+A solver certificate (``certificate_payload``) holds the primal blocks,
+the dual multipliers, the two objective values and ``"ppt_pairs"``: a
+list of ``{"block": k, "P": matrix, "Q": matrix}``, one per PPT-tagged
+block k, with that block's dual slack equal to P + Q^{T_B}.  These pairs
+are what lets ``verify_certificate`` check a PPT block without a solver,
+so the key is required (an empty list when the program has no PPT
+block).  A record written before the pairs were stored fails
+re-verification: ``solution_from_payload`` raises a ``FileFormatError``
+naming ``<certificate>.ppt_pairs``.
 """
 
 from __future__ import annotations
@@ -416,9 +426,40 @@ def certificate_payload(sol: SdpSolution):
     return {
         "primal_blocks": [encode_matrix(b) for b in sol.primal_blocks],
         "dual_multipliers": np.asarray(sol.dual_multipliers, dtype=float).tolist(),
+        "ppt_pairs": [
+            {"block": int(k), "P": encode_matrix(p), "Q": encode_matrix(q)}
+            for k, (p, q) in sorted(sol.ppt_pairs.items())
+        ],
         "primal_value": float(sol.primal_value),
         "dual_value": float(sol.dual_value),
     }
+
+
+def _decode_ppt_pairs(obj, path, blocks):
+    _expect(isinstance(obj, list), path, "expected a list of {block, P, Q} objects")
+    pairs = {}
+    for i, entry in enumerate(obj):
+        where = f"{path}[{i}]"
+        _expect(isinstance(entry, dict), where, "expected a {block, P, Q} object")
+        k = entry.get("block")
+        _expect(
+            isinstance(k, int) and not isinstance(k, bool) and 0 <= k < len(blocks),
+            f"{where}.block",
+            f"expected a block index in [0, {len(blocks)})",
+        )
+        _expect(k not in pairs, f"{where}.block", f"block {k} has a pair already")
+        pair = []
+        for key in ("P", "Q"):
+            _expect(key in entry, where, f"missing key {key!r}")
+            mat = decode_matrix(entry[key], f"{where}.{key}")[0]
+            _expect(
+                mat.shape == blocks[k].shape,
+                f"{where}.{key}",
+                f"shape {mat.shape} does not match block {k} of shape {blocks[k].shape}",
+            )
+            pair.append(mat)
+        pairs[k] = tuple(pair)
+    return pairs
 
 
 def solution_from_payload(obj, path="certificate"):
@@ -430,6 +471,13 @@ def solution_from_payload(obj, path="certificate"):
     ]
     _expect(blocks, f"{path}.primal_blocks", "expected a non-empty list")
     mults = _decode_weights(obj.get("dual_multipliers"), f"{path}.dual_multipliers")
+    _expect(
+        "ppt_pairs" in obj,
+        f"{path}.ppt_pairs",
+        "missing; a certificate written without its decomposition pairs cannot be "
+        "re-verified without a solver",
+    )
+    pairs = _decode_ppt_pairs(obj["ppt_pairs"], f"{path}.ppt_pairs", blocks)
     for key in ("primal_value", "dual_value"):
         _expect(
             isinstance(obj.get(key), (int, float)) and not isinstance(obj.get(key), bool),
@@ -440,6 +488,7 @@ def solution_from_payload(obj, path="certificate"):
         status="optimal",
         primal_blocks=blocks,
         dual_multipliers=mults,
+        ppt_pairs=pairs,
         primal_value=float(obj["primal_value"]),
         dual_value=float(obj["dual_value"]),
     )

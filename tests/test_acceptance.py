@@ -46,6 +46,7 @@ from telerobust.qobjects import (
 )
 from telerobust.rot import (
     robustness_of_entanglement,
+    rot_certified,
     rot_dual,
     rot_max_over_povm,
     rot_primal,
@@ -116,15 +117,19 @@ def test_faithfulness_zero_on_product_one_on_ideal():
 
 def test_strong_duality_with_verified_certificates():
     """Primal and dual agree to 1e-6 on random qubit instruments and both
-    returned certificates re-verify independently."""
+    returned certificates re-verify independently; so does the primal
+    certificate read off the dual solve."""
     rng = np.random.default_rng(200)
     for k in range(30):
         instr = _generic_instrument(rng, outcomes=3 + k % 2)
         prim = rot_primal(instr)
-        dual = rot_dual(instr)
+        cert = rot_certified(instr)
+        dual = cert.dual
         assert abs(prim.value - dual.value) <= 1e-6
+        assert abs(prim.value - cert.primal.value) <= 1e-6
         assert verify_certificate(prim.problem, prim.solution, tol=1e-6).ok
         assert verify_certificate(dual.problem, dual.solution, tol=1e-6).ok
+        assert verify_certificate(cert.primal.problem, cert.primal.solution, tol=1e-6).ok
 
 
 def test_classical_fidelity_threshold():

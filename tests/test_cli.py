@@ -15,6 +15,7 @@ from telerobust.qobjects import (
     choi_apply,
     ideal_instrument,
     isotropic_state,
+    TeleportationInstrument,
     pauli_six,
 )
 from telerobust.rot import rot_dual, rot_dual_problem, rot_primal_problem
@@ -133,6 +134,19 @@ class TestExitCodes:
         assert code == 5
         assert "degenerate" in capsys.readouterr().err
 
+    def test_negative_marginal_in_realize_exits_5(self, tmp_path, capsys):
+        """A valid instrument whose marginal has an eigenvalue of -1e-9.
+
+        Its Choi operator 1/2 (x) eta passes the PSD check within 1e-9,
+        but the square root of eta meets the negative eigenvalue.
+        """
+        eta = np.diag([1.0 + 1e-9, -1e-9])
+        path = tmp_path / "instr.json"
+        save_experiment(path, {"instrument": TeleportationInstrument([np.kron(np.eye(2) / 2, eta)], (2, 2))})
+        code = cli.main(["instrument", "realize", "--instrument", str(path), "--save", str(tmp_path / "real.json")])
+        assert code == 5
+        assert "negative eigenvalue" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", ["0", "-1", "ten"])
     def test_non_positive_fictitious_exits_2(self, files, tmp_path, capsys, count):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +214,56 @@ class TestRotCompute:
             sol = solution_from_payload(rec.certificates[key])
             report = verify_certificate(prob, sol, tol=1e-6)
             assert report.ok, f"{key}: {report.messages}"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_threshold_value_is_clamped_and_certified(self, tmp_path, d):
+        """At p = 1/(d + 1), T = 0: the record reports it in [0, 1e-8]."""
+        instr = build_instrument(bell_povm(d), isotropic_state(1.0 / (d + 1), d))
+        path = tmp_path / "threshold.json"
+        save_experiment(path, {"instrument": instr})
+        code, rec = run_record(["rot", "compute", "--instrument", str(path)], tmp_path)
+        assert code == 0
+        assert 0.0 <= rec.values["robustness"] <= 1e-8
+        assert rec.values["dual_value"] <= rec.values["robustness"] <= rec.values["primal_value"] + 1e-8
+        for prob, key in ((rot_primal_problem(instr)[0], "primal"), (rot_dual_problem(instr)[0], "dual")):
+            report = verify_certificate(prob, solution_from_payload(rec.certificates[key]), tol=1e-6)
+            assert report.ok, f"{key}: {report.messages}"
+
+    @pytest.mark.parametrize(
+        "tamper, where",
+        [
+            (lambda c: c.pop("ppt_pairs"), r"ppt_pairs: missing"),
+            (lambda c: [c["ppt_pairs"][1]["Q"][k].pop() for k in ("re", "im")], r"ppt_pairs\[1\]\.Q\.re:"),
+            (lambda c: c["ppt_pairs"][1]["P"]["re"][2].pop(), r"ppt_pairs\[1\]\.P\.re\[2\]:"),
+            (lambda c: c["ppt_pairs"][1].pop("Q"), r"ppt_pairs\[1\]: missing key 'Q'"),
+            (lambda c: c["ppt_pairs"][1]["P"]["im"][0].__setitem__(3, "0.5"), r"ppt_pairs\[1\]\.P\.im\[0\]\[3\]:"),
+            (lambda c: c["ppt_pairs"][1].__setitem__("block", 99), r"ppt_pairs\[1\]\.block:"),
+            (lambda c: c.__setitem__("ppt_pairs", {"0": None}), r"ppt_pairs: expected a list"),
+        ],
+        ids=["missing", "truncated_matrix", "truncated_row", "missing_member", "non_numeric",
+             "bad_block", "not_a_list"],
+    )
+    def test_tampered_ppt_pairs_name_the_path(self, files, tmp_path, tamper, where):
+        """Reloading a record with broken pairs raises FileFormatError
+        (exit code 3 in the CLI) naming the JSON path."""
+        code, rec = run_record(["rot", "compute", "--instrument", str(files["ideal2"])], tmp_path)
+        assert code == 0
+        cert = json.loads(json.dumps(rec.certificates["primal"]))
+        assert [pair["block"] for pair in cert["ppt_pairs"]] == [0, 1, 2, 3]
+        tamper(cert)
+        with pytest.raises(FileFormatError, match=r"^certificate\." + where):
+            solution_from_payload(cert)
+
+    def test_dropped_pairs_fail_verification_naming_the_block(self, files, tmp_path):
+        code, rec = run_record(["rot", "compute", "--instrument", str(files["ideal2"])], tmp_path)
+        assert code == 0
+        cert = dict(rec.certificates["primal"])
+        cert["ppt_pairs"] = cert["ppt_pairs"][1:]
+        prob, *_ = rot_primal_problem(load_experiment(files["ideal2"])["instrument"])
+        report = verify_certificate(prob, solution_from_payload(cert), tol=1e-6)
+        assert not report.ok
+        assert report.checks["dual_slack_block0"] == np.inf
+        assert "no decomposition pair (P, Q) for PPT block 0" in report.messages
 
     def test_stdout_json_by_default(self, files, capsys):
         assert cli.main(["rot", "dual", "--instrument", str(files["ideal2"])]) == 0

@@ -1,5 +1,7 @@
 """Tests for the interior-point SDP solver and its certificate checker."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from telerobust.conic import (
 )
 from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose
 from telerobust.qobjects import bell_povm, build_instrument, isotropic_state
-from telerobust.rot import rot_primal_problem
+from telerobust.rot import rot_certified, rot_primal_problem
 
 
 def _min_trace_problem():
@@ -315,3 +317,69 @@ def test_d4_bell_isotropic_primal_compiles_within_footprint():
     assert len(std.sizes) == 50
     kept = sum(a.nbytes for g in std.groups for a in (g.rows, g.coef, g.starts, g.owner, g.C))
     assert kept < 100e6
+
+
+class TestPairBasedChecker:
+    """PPT blocks are checked from the stored pairs (P, Q), with no solve.
+
+    The certificate is the robustness primal of an isotropic d = 2
+    instrument, read off one dual solve: four PPT blocks F_a, rows 16a to
+    16a + 15 for the a-th domination equality.  Each tampering must fail
+    a check that the report names.
+    """
+
+    EPS = 1e-4
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        primal = rot_certified(build_instrument(bell_povm(2), isotropic_state(0.7, 2))).primal
+        return primal.problem, primal.solution
+
+    @staticmethod
+    def _failed(problem, solution):
+        rep = verify_certificate(problem, solution, tol=1e-6)
+        assert not rep.ok
+        failed = {k for k, v in rep.checks.items() if v > 1e-6}
+        for name in failed:
+            assert repr(name) in rep.messages[-1]
+        return failed, rep
+
+    def test_untampered_certificate_passes(self, certificate):
+        rep = verify_certificate(*certificate, tol=1e-6)
+        assert rep.ok, rep.messages
+        assert {"dual_slack_block0_P", "dual_slack_block0_Q", "dual_slack_block0_residual"} <= set(rep.checks)
+
+    def test_p_shifted_below_zero(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        p, q = sol.ppt_pairs[0]
+        sol.ppt_pairs[0] = (p - self.EPS * np.eye(4), q)
+        failed, _ = self._failed(prob, sol)
+        assert "dual_slack_block0_P" in failed
+
+    def test_residual_off_by_eps(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        p, q = sol.ppt_pairs[0]
+        sol.ppt_pairs[0] = (p + self.EPS * np.eye(4), q)
+        failed, _ = self._failed(prob, sol)
+        assert failed == {"dual_slack_block0_residual"}
+
+    def test_flipped_multiplier_sign(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        i = int(np.argmax(np.abs(sol.dual_multipliers)))
+        assert i < 64  # a domination row, of outcome i // 16
+        sol.dual_multipliers[i] *= -1.0
+        failed, _ = self._failed(prob, sol)
+        assert f"dual_slack_block{i // 16}_residual" in failed
+
+    def test_scaled_primal_block(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.primal_blocks[0] = 1.01 * sol.primal_blocks[0]
+        failed, _ = self._failed(prob, sol)
+        assert failed & {f"row{r}" for r in range(16)}
+
+    def test_ppt_block_without_pair(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        del sol.ppt_pairs[2]
+        failed, rep = self._failed(prob, sol)
+        assert failed == {"dual_slack_block2"}
+        assert "no decomposition pair (P, Q) for PPT block 2" in rep.messages

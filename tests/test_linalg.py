@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from telerobust.linalg import (
     NumericalError,
+    clip_psd,
     dagger,
     frobenius_inner,
     frobenius_norm,
@@ -177,6 +178,24 @@ def test_psd_sqrt_squares_back():
     np.testing.assert_allclose(r @ r, x, atol=1e-10)
     with pytest.raises(ValueError):
         psd_sqrt(-np.eye(2))
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        psd_sqrt(np.diag([1.0, -1e-9]))
+
+
+def test_clip_psd_keeps_psd_and_drops_negative_part():
+    rng = np.random.default_rng(15)
+    x = _rand_psd(rng, 4)
+    np.testing.assert_allclose(clip_psd(x), x, atol=1e-10)
+    y = _rand_herm(rng, 4)
+    vals, vecs = np.linalg.eigh(y)
+    assert vals[0] < 0 < vals[-1]
+    clipped = clip_psd(y)
+    np.testing.assert_allclose(clipped, (vecs * np.maximum(vals, 0.0)) @ dagger(vecs), atol=1e-12)
+    assert min_eig(clipped) >= -1e-12
+    # the nearest PSD matrix: what is removed is the negative part, orthogonal to the rest
+    np.testing.assert_allclose(frobenius_norm(y - clipped), np.linalg.norm(vals[vals < 0]), atol=1e-12)
+    assert abs(frobenius_inner(clipped, y - clipped)) <= 1e-12
+    np.testing.assert_allclose(clip_psd(-x), np.zeros((4, 4)), atol=1e-12)
 
 
 def test_pinv_sqrt_is_pseudo_inverse_on_range():

@@ -30,6 +30,7 @@ from telerobust.rot import (
     _seesaw_over_povm,
     robustness_of_entanglement,
     rot,
+    rot_certified,
     rot_dual,
     rot_max_over_povm,
     rot_primal,
@@ -123,15 +124,21 @@ _BELL_ISOTROPIC = [(2, k / 10) for k in range(11)] + [(2, 1.0 / 3.0), (3, 0.1), 
 def test_bell_isotropic_closed_form(d, p):
     """T = max(0, d * F_ent - 1), F_ent = p + (1 - p) / d^2, by both routes.
 
+    The primal is solved on its own and also read off the dual solve.
     p = 1/(d + 1) is the entanglement threshold: T = 0 there and the
-    interior-point method is most degenerate.
+    interior-point method is most degenerate, so the reported value is
+    the clamped midpoint, in [0, 1e-8].
     """
     inst = build_instrument(bell_povm(d), _isotropic(p, d))
     expected = max(0.0, d * (p + (1.0 - p) / d**2) - 1.0)
-    for sol in (rot_primal(inst), rot_dual(inst)):
+    cert = rot_certified(inst)
+    for sol in (rot_primal(inst), cert.dual, cert.primal):
         assert abs(sol.value - expected) <= 1e-6
         report = verify_certificate(sol.problem, sol.solution)
         assert report.ok, report.messages
+    assert cert.value >= 0.0 and abs(cert.value - expected) <= 1e-6
+    if p == 1.0 / (d + 1):
+        assert cert.value <= 1e-8
 
 
 class TestOracleValues:
@@ -164,6 +171,8 @@ class TestOracleValues:
             assert abs(p.value - d.value) <= 1e-6
             mid = rot(inst)
             np.testing.assert_allclose(mid, 0.5 * (p.value + d.value), atol=1e-9)
+            # the one-solve value agrees with the independent primal oracle
+            assert abs(mid - p.value) <= 1e-7
 
     def test_non_square_dims(self):
         rng = np.random.default_rng(2)
@@ -172,6 +181,11 @@ class TestOracleValues:
         d = rot_dual(inst)
         assert abs(p.value - d.value) <= 1e-6
         assert p.value >= -1e-7
+        cert = rot_certified(inst)
+        assert abs(cert.value - p.value) <= 1e-7
+        for sol in (cert.primal, cert.dual):
+            report = verify_certificate(sol.problem, sol.solution)
+            assert report.ok, report.messages
 
 
 class TestConvexityAndMonotonicity:

@@ -30,7 +30,7 @@ from telerobust.qobjects import (
     rand_povm,
     rand_state,
 )
-from telerobust.rot import rot_dual, rot_dual_problem
+from telerobust.rot import rot_certified, rot_dual, rot_dual_problem
 from telerobust.serialize import (
     FileFormatError,
     ResultRecord,
@@ -398,6 +398,22 @@ class TestCertificatePayload:
         reloaded = verify_certificate(prob, solution_from_payload(payload), tol=1e-6)
         assert reloaded.ok
         assert abs(reloaded.max_violation - direct.max_violation) <= 1e-9
+
+    def test_reload_keeps_decomposition_pairs(self):
+        """The pairs of every PPT block survive the round trip exactly."""
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        primal = rot_certified(instr).primal
+        payload = json.loads(json.dumps(certificate_payload(primal.solution)))
+        assert [pair["block"] for pair in payload["ppt_pairs"]] == [0, 1, 2, 3]
+        back = solution_from_payload(payload)
+        assert sorted(back.ppt_pairs) == [0, 1, 2, 3]
+        for k, (p, q) in primal.solution.ppt_pairs.items():
+            np.testing.assert_array_equal(back.ppt_pairs[k][0], p)
+            np.testing.assert_array_equal(back.ppt_pairs[k][1], q)
+        direct = verify_certificate(primal.problem, primal.solution, tol=1e-6)
+        reloaded = verify_certificate(primal.problem, back, tol=1e-6)
+        assert direct.ok and reloaded.ok
+        assert reloaded.max_violation == direct.max_violation
 
     def test_payload_rejects_missing_fields(self):
         with pytest.raises(FileFormatError, match="primal_blocks"):
