@@ -428,8 +428,9 @@ def _load_sweep_config(path):
         raise FileFormatError(
             "$.parameter", f"unknown sweep parameter {cfg.get('parameter')!r}"
         )
-    if int(cfg.get("d", 2)) != 2:
-        raise FileFormatError("$.d", "the isotropic sweep ships qubit fixtures only")
+    d = cfg.get("d", 2)
+    if type(d) is not int or d != 2:  # bool is a subclass of int
+        raise FileFormatError("$.d", f"expected the integer 2, got {d!r}: qubit fixtures only")
     try:
         start = float(cfg["start"])
         stop = float(cfg["stop"])

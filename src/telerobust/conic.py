@@ -13,13 +13,14 @@ decomposition of the dual slack into ``P + Q^{T_B}`` with P, Q >= 0.
 
 Internally everything is mapped to the real symmetric vectorization
 (svec) and solved with a Mehrotra predictor-corrector method using
-Nesterov-Todd scaling.  The compiled standard form keeps, for each block,
-only its row support: the rows on which the block has a nonzero
-coefficient.  The Schur complement is assembled block by block on those
-rows (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997), and blocks of
-equal size are stacked so that eigendecompositions, scaling and step
-lengths run as one batched call per size.  What remains per iteration is
-the dense Cholesky factorization of the m x m Schur matrix.
+Nesterov-Todd scaling.  Rows are stored only as svec rows, read by both
+the solver and the certificate checker.  The compiled standard form
+keeps, for each block, only its row support: the rows on which the block
+has a nonzero coefficient.  The Schur complement is assembled block by
+block on those rows (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997),
+and blocks of equal size are stacked so that eigendecompositions,
+scaling and step lengths run as one batched call per size.  What remains
+per iteration is the dense Cholesky factorization of the m x m Schur matrix.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
@@ -27,8 +28,9 @@ about 0.03 s (68 rows) at d = 2 and 0.4-0.55 s (738 rows) at d = 3, and
 that one solve gives the robustness with both certificates
 (``rot.rot_certified``).  The primal program, kept as an independent
 check, takes about 0.045 s (144 rows) and 1.1-1.25 s (1539 rows).
-Re-checking a certificate runs no solver: 2 ms at d = 2 and 10-20 ms
-at d = 3 for the primal certificate.
+Building the dual program takes 1.2-2 ms at d = 2 and 9-17 ms at d = 3,
+the primal 0.3-0.6 ms and 1.4-2.6 ms.  Re-checking either certificate
+runs no solver: 0.8-1.5 ms at d = 2 and 3-6 ms at d = 3.
 """
 
 from __future__ import annotations
@@ -120,7 +122,12 @@ class _Block:
 
 
 class SdpProblem:
-    """Block SDP description assembled through add_* calls."""
+    """Block SDP description assembled through add_* calls.
+
+    Each entry of ``constraints`` is ``(coeffs, sense, rhs)`` with
+    ``coeffs[k]`` the svec row (real, length n_k^2) of the Hermitian part
+    of block k's coefficient, so the row value is sum_k coeffs[k] @ svec(X_k).
+    """
 
     def __init__(self):
         self.blocks: list[_Block] = []
@@ -149,7 +156,7 @@ class SdpProblem:
         self.sense = sense
 
     def add_constraint(self, coeffs, sense, rhs):
-        """Scalar constraint sum_k <coeffs[k], X_k>  sense  rhs."""
+        """Scalar constraint sum_k Re<coeffs[k], X_k>  sense  rhs; stores svec(herm(coeffs[k]))."""
         if sense not in ("=", "<=", ">="):
             raise ValueError(f"unknown constraint sense {sense!r}")
         clean = {}
@@ -159,7 +166,7 @@ class SdpProblem:
             v = np.asarray(v, dtype=complex)
             if v.shape != (n, n):
                 raise ValueError(f"coefficient for block {k} has shape {v.shape}, expected {(n, n)}")
-            clean[k] = hermitize(v)
+            clean[k] = svec(hermitize(v))
         self.constraints.append((clean, sense, float(np.real(rhs))))
 
     def add_operator_equality(self, terms, target):
@@ -168,43 +175,24 @@ class SdpProblem:
         ``terms`` is a list of (block_index, map) pairs where map is either
         a real scalar (meaning scalar * X) or a callable applying a
         Hermitian-preserving linear map.  Repeated block indices are
-        accumulated.
+        accumulated.  Row r is the r-th svec coordinate of both sides.
         """
         target = hermitize(target)
         nt = target.shape[0]
-        mats: dict[int, np.ndarray] = {}
+        rows: dict[int, np.ndarray] = {}
         for k, f in terms:
             k = int(k)
             nk = self.blocks[k].size
-            basis = smat_stack(np.eye(nk * nk), nk)
             if callable(f):
-                cols = np.stack([svec(hermitize(f(e))) for e in basis], axis=1)
+                a = svec_stack(hermitize(np.stack([f(e) for e in _basis(nk)]))).T
             else:
-                cols = float(f) * np.eye(nk * nk)
-            if cols.shape[0] != nt * nt:
+                a = float(f) * np.eye(nk * nk)
+            if a.shape[0] != nt * nt:
                 raise ValueError(f"map for block {k} lands in wrong space")
-            mats[k] = mats.get(k, 0) + cols
+            rows[k] = rows[k] + a if k in rows else a
         rhs = svec(target)
-        row_mats = {k: smat_stack(m, self.blocks[k].size) for k, m in mats.items()}
         for r in range(nt * nt):
-            self.add_constraint({k: row_mats[k][r] for k in row_mats}, "=", rhs[r])
-
-    def dump(self):
-        """Plain-text block-matrix rendering for debugging."""
-        lines = [f"SdpProblem sense={self.sense} offset={self.offset}"]
-        for i, blk in enumerate(self.blocks):
-            tag = blk.cone + (str(blk.ppt_dims) if blk.ppt_dims else "")
-            lines.append(f"  block {i}: {blk.size}x{blk.size} {tag}")
-        for i, (coeffs, sense, rhs) in enumerate(self.constraints):
-            parts = []
-            for k in sorted(coeffs):
-                with np.printoptions(precision=4, suppress=True, linewidth=200):
-                    parts.append(f"<block{k},\n{np.array2string(coeffs[k])}>")
-            lines.append(f"  row {i}: " + " + ".join(parts) + f" {sense} {rhs:.6g}")
-        for k in sorted(self.objective):
-            with np.printoptions(precision=4, suppress=True, linewidth=200):
-                lines.append(f"  objective block {k}:\n{np.array2string(self.objective[k])}")
-        return "\n".join(lines)
+            self.constraints.append(({k: a[r] for k, a in rows.items()}, "=", float(rhs[r])))
 
 
 @dataclass
@@ -269,7 +257,6 @@ class _Standard:
     """
 
     def __init__(self, problem: SdpProblem):
-        self.problem = problem
         sizes = [blk.size for blk in problem.blocks]
         self.n_user = len(sizes)
         self.companion: dict[int, int] = {}
@@ -293,18 +280,10 @@ class _Standard:
         self.m = m
         self.m_user = m_user
         self.b = np.zeros(m)
+        self.b[:m_user] = [rhs for _, _, rhs in problem.constraints]
 
         # (row indices, svec coefficient rows) chunks per block, in row order
-        chunks = [[(np.zeros(0, dtype=int), np.zeros((0, n * n)))] for n in sizes]
-        user = [([], []) for _ in range(self.n_user)]
-        for i, (coeffs, _, rhs) in enumerate(problem.constraints):
-            for k, v in coeffs.items():
-                user[k][0].append(i)
-                user[k][1].append(v)
-            self.b[i] = rhs
-        for k, (rows, mats) in enumerate(user):
-            if rows:
-                chunks[k].append((np.array(rows), svec_stack(mats)))
+        chunks = [[rows] for rows in _block_rows(problem)] + [[] for _ in sizes[self.n_user :]]
         for row, blk, sign in self.slack_rows:
             chunks[blk].append((np.array([row]), np.array([[sign]])))
 
@@ -386,6 +365,19 @@ class _Standard:
                 rows = g.rows[sel]
                 mmat[np.ix_(rows, rows)] += gk @ gk.T
         return mmat
+
+
+def _block_rows(problem):
+    """Row indices (r_k,) and stacked svec rows (r_k, n_k^2) of each user block."""
+    support = [([], []) for _ in problem.blocks]
+    for i, (coeffs, _, _) in enumerate(problem.constraints):
+        for k, v in coeffs.items():
+            support[k][0].append(i)
+            support[k][1].append(v)
+    return [
+        (np.array(rows, dtype=int), np.array(vecs, dtype=float).reshape(len(rows), blk.size**2))
+        for blk, (rows, vecs) in zip(problem.blocks, support)
+    ]
 
 
 def _basis(n):
@@ -665,8 +657,16 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     dval_int = float(sum(y[i] * problem.constraints[i][2] for i in range(len(y))))
     dval = problem.offset + sign * dval_int
 
-    for i, (coeffs, sense, rhs) in enumerate(problem.constraints):
-        val = float(np.real(sum(np.vdot(coeffs[k], X[k]) for k in coeffs)))
+    # one product per block gives its share of every row value (a block
+    # meets each row at most once) and its dual slack
+    # sign * C_k - sum_i y_i A_ik, against user rows only
+    vals = np.zeros(len(problem.constraints))
+    slacks = []
+    for k, (blk, (rows, a)) in enumerate(zip(problem.blocks, _block_rows(problem))):
+        vals[rows] += a @ svec(hermitize(X[k]))
+        slacks.append(sign * problem.objective.get(k, 0.0) - smat(y[rows] @ a, blk.size))
+
+    for i, ((_, sense, rhs), val) in enumerate(zip(problem.constraints, vals.tolist())):
         scale = 1.0 + abs(rhs)
         if sense == "=":
             checks[f"row{i}"] = abs(val - rhs) / scale
@@ -677,14 +677,8 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
             checks[f"row{i}"] = max(0.0, rhs - val) / scale
             checks[f"row{i}_dualsign"] = max(0.0, -y[i])
 
-    # dual slack per block, against user rows only
     for k, blk in enumerate(problem.blocks):
-        n = blk.size
-        z = sign * problem.objective.get(k, np.zeros((n, n), dtype=complex)).astype(complex)
-        for i, (coeffs, _, _) in enumerate(problem.constraints):
-            if k in coeffs:
-                z = z - y[i] * coeffs[k]
-        z = hermitize(z)
+        z = slacks[k]
         scale = 1.0 + float(np.linalg.norm(z))
         if blk.cone == "psd":
             lam = float(np.linalg.eigvalsh(z)[0])

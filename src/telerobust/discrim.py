@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, solve_checked
 from .linalg import (
     NumericalError,
     dagger,
@@ -41,7 +40,7 @@ from .qobjects import (
     choi_apply_second,
     weyl_family,
 )
-from .rot import RotDualSolution
+from .rot import RotDualSolution, classical_max
 
 __all__ = [
     "DiscriminationInstrument",
@@ -257,19 +256,8 @@ def classical_p_succ_ensemble(e: DiscriminationInstrument, tol=1e-9) -> float:
     variable — splitting a PPT operator across k identical payoffs
     changes nothing.
     """
-    d = e.dim
-    n = d * d
     payoffs = _guess_pullbacks(e)
-    prob = SdpProblem()
-    blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d, d)) for _ in payoffs]
-    tau = prob.add_block(d)
-    prob.set_objective(dict(zip(blocks, payoffs)), sense="max")
-    terms = [(b, 1.0) for b in blocks]
-    terms.append((tau, lambda t: (-1.0 / d) * tensor(np.eye(d), t)))
-    prob.add_operator_equality(terms, np.zeros((n, n)))
-    prob.add_constraint({tau: np.eye(d)}, "=", 1.0)
-    sol = solve_checked(prob, tol=tol, what="classical discrimination benchmark")
-    return float(sol.primal_value)
+    return classical_max(payoffs, (e.dim, e.dim), tol, what="classical discrimination benchmark")[0]
 
 
 def classical_p_succ_product(e: DiscriminationInstrument) -> float:

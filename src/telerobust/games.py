@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, solve_checked
 from .linalg import (
     NumericalError,
     clip_psd,
@@ -39,7 +38,7 @@ from .qobjects import (
     choi_apply_second,
     weyl_family,
 )
-from .rot import RotDualSolution
+from .rot import RotDualSolution, classical_max
 
 __all__ = [
     "CorrelationGame",
@@ -274,26 +273,13 @@ def _pullback_target(sigma_mat, xi_mat, d_spec, d_v, d_b):
 def _classical_sdp(game, units, tol):
     """Best PPT no-signalling player against fixed corrections."""
     d_spec, d_v, d_b = game.spectator_dim, game.probe_dim, game.target_dim
-    n = d_v * d_b
     sigma = game.input_state.matrix
-    prob = SdpProblem()
-    f_blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d_v, d_b)) for _ in range(game.outcomes)]
-    tau = prob.add_block(d_b)
-    coeffs = {}
-    for b, blk in enumerate(f_blocks):
-        if game.scores[b] <= 0.0:
-            continue
+    payoffs = [None] * game.outcomes
+    for b in np.flatnonzero(game.scores > 0.0):
         full = tensor(np.eye(d_spec), units[b])
         xi_rot = dagger(full) @ game.targets[b] @ full
-        coeffs[blk] = game.scores[b] * _pullback_target(sigma, xi_rot, d_spec, d_v, d_b)
-    prob.set_objective(coeffs, sense="max")
-    terms = [(blk, 1.0) for blk in f_blocks]
-    terms.append((tau, lambda t: (-1.0 / d_v) * tensor(np.eye(d_v), t)))
-    prob.add_operator_equality(terms, np.zeros((n, n)))
-    prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
-    sol = solve_checked(prob, tol=tol, what="classical game benchmark")
-    ops = [hermitize(sol.primal_blocks[blk]) for blk in f_blocks]
-    return float(sol.primal_value), ops
+        payoffs[b] = game.scores[b] * _pullback_target(sigma, xi_rot, d_spec, d_v, d_b)
+    return classical_max(payoffs, (d_v, d_b), tol, what="classical game benchmark")
 
 
 def classical_game_strategy(game, corrections=None, tol=1e-9, rounds=6):

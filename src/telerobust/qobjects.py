@@ -300,7 +300,7 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     instruments (nearest in trace norm); worse data is returned raw with
     its diagnostic residual, wrapped without validation.
     """
-    from .conic import SdpProblem, solve, svec, smat_stack, SolverError
+    from .conic import SdpProblem, solve_checked, svec, smat_stack
 
     if not inputs.tomographically_complete:
         raise ValueError("probe set is not tomographically complete")
@@ -356,9 +356,7 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
         np.zeros((n, n)),
     )
     prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
-    sol = solve(prob)
-    if sol.status != "optimal":
-        raise SolverError(f"instrument projection failed: {sol.status}")
+    sol = solve_checked(prob, what="instrument projection")
     return TeleportationInstrument([sol.primal_blocks[j] for j in js], (d_v, d_b)), residual
 
 

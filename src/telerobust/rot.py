@@ -56,6 +56,7 @@ __all__ = [
     "rot_dual",
     "rot_certified",
     "rot",
+    "classical_max",
     "robustness_of_entanglement",
     "rot_max_over_povm",
 ]
@@ -336,6 +337,26 @@ def rot(instr: TeleportationInstrument, tol=1e-8) -> float:
     threshold) is rounding and is reported as 0.
     """
     return rot_certified(instr, tol=tol).value
+
+
+def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
+    """(value, [F_x]) of max sum_x <C_x, F_x> over the PPT-relaxed classical family.
+
+    The F_x are PPT operators on V (x) B with sum_x F_x = (1/d_V) 1 (x) tau
+    for a state tau.  A payoff C_x given as None adds no objective term.
+    """
+    d_v, d_b = dims
+    n = d_v * d_b
+    prob = SdpProblem()
+    blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d_v, d_b)) for _ in payoffs]
+    tau = prob.add_block(d_b)
+    prob.set_objective({b: c for b, c in zip(blocks, payoffs) if c is not None}, sense="max")
+    terms = [(b, 1.0) for b in blocks]
+    terms.append((tau, lambda t: (-1.0 / d_v) * tensor(np.eye(d_v), t)))
+    prob.add_operator_equality(terms, np.zeros((n, n)))
+    prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
+    sol = solve_checked(prob, tol=tol, what=what)
+    return float(sol.primal_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
 
 
 def robustness_of_entanglement(rho: DensityMatrix, tol=1e-8) -> float:

@@ -523,13 +523,21 @@ class ResultRecord:
         _expect(isinstance(obj["command"], str), f"{path}.command", "expected a string")
         _expect(isinstance(obj["inputs"], dict), f"{path}.inputs", "expected an object")
         _expect(isinstance(obj["values"], dict), f"{path}.values", "expected an object")
+        certificates = obj.get("certificates", {})
+        warnings = obj.get("warnings", [])
+        wall_time = obj.get("wall_time", 0.0)
+        _expect(isinstance(certificates, dict), f"{path}.certificates", "expected an object")
+        _expect(isinstance(warnings, list), f"{path}.warnings", "expected a list of strings")
+        for i, w in enumerate(warnings):
+            _expect(isinstance(w, str), f"{path}.warnings[{i}]", "expected a string")
+        _expect(type(wall_time) in (int, float), f"{path}.wall_time", "expected a number")
         return cls(
             command=obj["command"],
             inputs=dict(obj["inputs"]),
             values=dict(obj["values"]),
-            certificates=obj.get("certificates", {}),
-            warnings=list(obj.get("warnings", [])),
-            wall_time=float(obj.get("wall_time", 0.0)),
+            certificates=certificates,
+            warnings=list(warnings),
+            wall_time=float(wall_time),
         )
 
 

@@ -646,6 +646,13 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg)]) == 3
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", [[2], "2", 2.5, True, 3], ids=["list", "string", "fraction", "bool", "three"])
+    def test_rejects_malformed_dimension(self, tmp_path, capsys, d):
+        cfg = self._config(tmp_path, d=d)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "$.d" in err and "expected the integer 2" in err and "Traceback" not in err
+
 
 class TestDeterminism:
     def test_rerun_reproduces_values_and_digests(self, files, tmp_path):

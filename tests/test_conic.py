@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from telerobust.conic import (
     SdpProblem,
+    SdpSolution,
     SolverError,
     _Standard,
     smat,
@@ -18,8 +19,8 @@ from telerobust.conic import (
     svec_stack,
     verify_certificate,
 )
-from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose
-from telerobust.qobjects import bell_povm, build_instrument, isotropic_state
+from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose, tensor
+from telerobust.qobjects import bell_povm, build_instrument, isotropic_state, rand_povm, rand_state
 from telerobust.rot import rot_certified, rot_primal_problem
 
 
@@ -175,12 +176,6 @@ def test_problem_validation_errors():
         solve(prob)  # no constraints
 
 
-def test_dump_is_printable():
-    prob = _min_trace_problem()
-    text = prob.dump()
-    assert "block 0" in text and "row 0" in text
-
-
 def test_solver_tolerance_is_respected():
     prob = _min_trace_problem()
     sol = solve(prob, tol=1e-10)
@@ -250,7 +245,7 @@ def _dense_rows(prob, std):
     ab = [np.zeros((std.m, n * n)) for n in std.sizes]
     for i, (coeffs, _, _) in enumerate(prob.constraints):
         for k, v in coeffs.items():
-            ab[k][i] = svec(v)
+            ab[k][i] = v
     for row, blk, sign in std.slack_rows:
         ab[blk][row, 0] = sign
     r0 = std.m_user
@@ -303,6 +298,135 @@ def test_row_support_assembly_matches_dense_reference(seed):
         ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
     got = std.schur(_stacks(std, wh))
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_stored_rows_compile_to_svec_rows():
+    """Stored rows give Re<herm(A), X> and, stacked, svec(sum_j L_j(X_j))."""
+    rng = np.random.default_rng(7)
+    prob = SdpProblem()
+    x = prob.add_block(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))  # not Hermitian
+    prob.add_constraint({x: a}, "<=", 0.5)
+    (coeffs, sense, rhs), = prob.constraints
+    assert (sense, rhs) == ("<=", 0.5)
+    assert coeffs[x].dtype == float and coeffs[x].shape == (9,)
+    for _ in range(5):
+        xs = _rand_herm(rng, 3)
+        assert abs(coeffs[x] @ svec(xs) - np.vdot(hermitize(a), xs).real) <= 1e-12
+
+    prob = SdpProblem()
+    u = prob.add_block(4)
+    t = prob.add_block(2)
+    kraus = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    target = _rand_herm(rng, 4)
+    prob.add_operator_equality(
+        [
+            (u, lambda m: kraus @ m @ dagger(kraus)),
+            (t, lambda m: tensor(np.eye(2), m)),
+            (u, -0.5),  # a scalar term on a block already mapped
+            (u, lambda m: partial_transpose(m, (2, 2), 1)),
+        ],
+        target,
+    )
+    assert len(prob.constraints) == 16
+    assert all(sense == "=" and set(c) == {u, t} for c, sense, _ in prob.constraints)
+    np.testing.assert_allclose([r for _, _, r in prob.constraints], svec(target), rtol=0, atol=1e-12)
+    for _ in range(5):
+        xu, xt = _rand_herm(rng, 4), _rand_herm(rng, 2)
+        got = np.array([c[u] @ svec(xu) + c[t] @ svec(xt) for c, _, _ in prob.constraints])
+        image = kraus @ xu @ dagger(kraus) + tensor(np.eye(2), xt) - 0.5 * xu
+        image = image + partial_transpose(xu, (2, 2), 1)
+        np.testing.assert_allclose(got, svec(image), rtol=0, atol=1e-12 * (1 + np.abs(got).max()))
+
+
+def _reference_row_and_slack_checks(prob, sol):
+    """Row and dual-slack checks by the dense loop over rows and blocks × rows.
+
+    Each stored row is rebuilt as a matrix with ``smat``; this is the
+    checker's earlier matrix-row algorithm, kept here as the oracle.
+    """
+    X, y = sol.primal_blocks, sol.dual_multipliers
+    mats = [
+        {k: smat(v, prob.blocks[k].size) for k, v in coeffs.items()}
+        for coeffs, _, _ in prob.constraints
+    ]
+    checks = {}
+    for i, (coeffs, (_, sense, rhs)) in enumerate(zip(mats, prob.constraints)):
+        val = float(np.real(sum(np.vdot(coeffs[k], X[k]) for k in coeffs)))
+        scale = 1.0 + abs(rhs)
+        if sense == "=":
+            checks[f"row{i}"] = abs(val - rhs) / scale
+        elif sense == "<=":
+            checks[f"row{i}"] = max(0.0, val - rhs) / scale
+            checks[f"row{i}_dualsign"] = max(0.0, y[i])
+        else:
+            checks[f"row{i}"] = max(0.0, rhs - val) / scale
+            checks[f"row{i}_dualsign"] = max(0.0, -y[i])
+    sign = 1.0 if prob.sense == "min" else -1.0
+    for k, blk in enumerate(prob.blocks):
+        n = blk.size
+        z = sign * prob.objective.get(k, np.zeros((n, n), dtype=complex)).astype(complex)
+        for i, coeffs in enumerate(mats):
+            if k in coeffs:
+                z = z - y[i] * coeffs[k]
+        z = hermitize(z)
+        scale = 1.0 + float(np.linalg.norm(z))
+        if blk.cone == "psd":
+            checks[f"dual_slack_block{k}"] = max(0.0, -float(np.linalg.eigvalsh(z)[0]) / scale)
+            continue
+        p, q = (hermitize(m) for m in sol.ppt_pairs[k])
+        for name, m in (("P", p), ("Q", q)):
+            lam = float(np.linalg.eigvalsh(m)[0])
+            checks[f"dual_slack_block{k}_{name}"] = max(0.0, -lam / (1.0 + float(np.linalg.norm(m))))
+        resid = z - p - partial_transpose(q, blk.ppt_dims, 1)
+        checks[f"dual_slack_block{k}_residual"] = float(np.linalg.norm(resid)) / scale
+    return checks
+
+
+def _random_point(rng, prob):
+    """A random (not optimal) primal/dual point of ``prob``, with PPT pairs."""
+    blocks = [_rand_herm(rng, blk.size) for blk in prob.blocks]
+    pairs = {
+        k: (_rand_herm(rng, blk.size), _rand_herm(rng, blk.size))
+        for k, blk in enumerate(prob.blocks)
+        if blk.cone == "ppt"
+    }
+    return SdpSolution(
+        status="optimal",
+        primal_blocks=blocks,
+        dual_multipliers=rng.standard_normal(len(prob.constraints)),
+        ppt_pairs=pairs,
+        primal_value=0.0,
+        dual_value=0.0,
+    )
+
+
+def _checker_case(name):
+    rng = np.random.default_rng(3)
+    if name == "mixed":
+        prob = _mixed_problem(rng)
+        return prob, _random_point(rng, prob)
+    if name == "random_instrument":
+        instr = build_instrument(rand_povm((2, 2), 3, rng=rng), rand_state((2, 2), rng=rng))
+    else:
+        d, p = {"d2_p0.7": (2, 0.7), "d2_p1/3": (2, 1 / 3), "d3_p0.6": (3, 0.6)}[name]
+        instr = build_instrument(bell_povm(d), isotropic_state(p, d))
+    cert = rot_certified(instr)
+    return cert.primal.problem, cert.primal.solution, cert.dual.problem, cert.dual.solution
+
+
+@pytest.mark.parametrize("name", ["d2_p0.7", "d2_p1/3", "d3_p0.6", "random_instrument", "mixed"])
+def test_checker_rows_and_slacks_match_dense_reference(name):
+    """verify_certificate's svec pass gives the dense loop's checks to 1e-12."""
+    case = _checker_case(name)
+    for prob, sol in zip(case[::2], case[1::2]):
+        got = verify_certificate(prob, sol).checks
+        ref = _reference_row_and_slack_checks(prob, sol)
+        assert {k for k in got if k.startswith(("row", "dual_slack_block"))} == set(ref)
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+        if name == "mixed":
+            assert {"row16_dualsign", "row17_dualsign"} <= set(ref)
 
 
 def test_d4_bell_isotropic_primal_compiles_within_footprint():

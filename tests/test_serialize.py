@@ -376,6 +376,25 @@ class TestResultRecord:
         assert back.values == vals
         assert back.wall_time == rec.wall_time
 
+    def _tampered(self, **fields):
+        payload = json.loads(record_dumps(self._record()))
+        payload.update(fields)
+        return json.dumps(payload)
+
+    def test_non_numeric_wall_time_names_the_path(self):
+        with pytest.raises(FileFormatError, match=r"record\.wall_time: expected a number"):
+            record_loads(self._tampered(wall_time="abc"))
+
+    def test_warnings_must_be_a_list_of_strings(self):
+        with pytest.raises(FileFormatError, match=r"record\.warnings: expected a list"):
+            record_loads(self._tampered(warnings="oops"))
+        with pytest.raises(FileFormatError, match=r"record\.warnings\[1\]: expected a string"):
+            record_loads(self._tampered(warnings=["fine", 7]))
+
+    def test_certificates_must_be_an_object(self):
+        with pytest.raises(FileFormatError, match=r"record\.certificates: expected an object"):
+            record_loads(self._tampered(certificates=[1]))
+
     def test_file_digest_tracks_content(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text("hello", encoding="utf-8")
