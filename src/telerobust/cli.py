@@ -208,7 +208,14 @@ def cmd_instrument_realize(args):
 def cmd_instrument_fit(args):
     inputs = _pick(args.inputs, InputEnsemble, "input ensemble")
     data = _pick(args.data, TomographyData, "tomography data")
-    instr, residual = fit_choi(inputs, data.data, tol=_tol(args, 1e-4))
+    tol = _tol(args, 1e-4)
+    instr, residual = fit_choi(inputs, data.data, tol=tol)
+    if residual >= tol:
+        raise FileFormatError(
+            str(args.data),
+            f"tomography data fit with residual {residual:.3e} >= tol {tol:g}; "
+            "the raw fit is not a valid instrument, so nothing was saved",
+        )
     save_experiment(args.save, {"instrument": instr})
     return ResultRecord(
         command="instrument fit",

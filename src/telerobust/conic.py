@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import NumericalError, dagger, hermitize
+from .linalg import NumericalError, dagger, hermitize, partial_transpose
 
 __all__ = [
     "SdpProblem",
@@ -104,14 +104,6 @@ def svec(x):
 def smat(v, n):
     """Hermitian matrix from its real vectorization."""
     return smat_stack(np.asarray(v, dtype=float)[None, :], n)[0]
-
-
-def _pt_stack(ms, dims):
-    """Partial transpose on the second factor for stacked matrices."""
-    d1, d2 = dims
-    m = ms.shape[0]
-    t = ms.reshape(m, d1, d2, d1, d2)
-    return t.transpose(0, 1, 4, 3, 2).reshape(m, d1 * d2, d1 * d2)
 
 
 @dataclass
@@ -291,7 +283,7 @@ class _Standard:
         for i in ppt_blocks:
             n = problem.blocks[i].size
             rows = np.arange(r0, r0 + n * n)
-            pt = svec_stack(_pt_stack(_basis(n), problem.blocks[i].ppt_dims))
+            pt = svec_stack(partial_transpose(_basis(n), problem.blocks[i].ppt_dims))
             chunks[self.companion[i]].append((rows, np.eye(n * n)))
             chunks[i].append((rows, -pt))
             r0 += n * n
@@ -623,6 +615,24 @@ def solve_checked(problem: SdpProblem, tol=1e-8, max_iter=200, what="SDP"):
     return sol
 
 
+def _shape_mismatches(problem, solution):
+    """Expected-versus-actual messages for the counts and block shapes that do not fit."""
+    y, xs = solution.dual_multipliers, solution.primal_blocks
+    counts = [
+        ("dual multipliers", len(problem.constraints), 0 if y is None else len(y)),
+        ("primal blocks", len(problem.blocks), len(xs)),
+    ]
+    out = [f"expected {want} {what}, got {got}" for what, want, got in counts if want != got]
+    for k, (blk, x) in enumerate(zip(problem.blocks, xs)):
+        if np.shape(x) != (blk.size, blk.size):
+            out.append(f"primal block {k} has shape {np.shape(x)}, expected {(blk.size, blk.size)}")
+    for k, pair in sorted(solution.ppt_pairs.items()):
+        want = (problem.blocks[k].size,) * 2 if 0 <= k < len(problem.blocks) else None
+        if want and any(np.shape(m) != want for m in pair):
+            out.append(f"pair (P, Q) of block {k} has shapes {[np.shape(m) for m in pair]}, expected {want}")
+    return out
+
+
 def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     """Independent feasibility and weak-duality check of a solution.
 
@@ -634,10 +644,16 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     solution's ``ppt_pairs`` must hold that (P, Q).  The checker tests
     P >= 0, Q >= 0 and ||Z - P - Q^{T_B}|| / (1 + ||Z||) <= tol.  A PPT
     block without a pair fails its ``dual_slack_block<k>`` check with a
-    message naming the block.
+    message naming the block.  A solution whose block or multiplier
+    counts, or block or pair shapes, do not match the problem fails one
+    ``shape`` check, with a message giving the expected and actual sizes,
+    and is not checked further.
     """
     checks: dict[str, float] = {}
-    messages: list[str] = []
+    messages = _shape_mismatches(problem, solution)
+    if messages:
+        messages.append(f"violations above {tol:g}: {{'shape': inf}}")
+        return CertificateReport(ok=False, max_violation=np.inf, checks={"shape": np.inf}, messages=messages)
     X = solution.primal_blocks
     y = solution.dual_multipliers
 
@@ -646,7 +662,7 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
         lam = float(np.linalg.eigvalsh(hermitize(X[k]))[0])
         checks[f"primal_psd_block{k}"] = max(0.0, -lam / scale)
         if blk.cone == "ppt":
-            ptx = _pt_stack(np.asarray(X[k])[None, :, :], blk.ppt_dims)[0]
+            ptx = partial_transpose(X[k], blk.ppt_dims)
             lam = float(np.linalg.eigvalsh(hermitize(ptx))[0])
             checks[f"primal_ppt_block{k}"] = max(0.0, -lam / scale)
 
@@ -693,7 +709,7 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
             for name, m in (("P", p), ("Q", q)):
                 lam = float(np.linalg.eigvalsh(m)[0])
                 checks[f"dual_slack_block{k}_{name}"] = max(0.0, -lam / (1.0 + float(np.linalg.norm(m))))
-            resid = z - p - _pt_stack(q[None, :, :], blk.ppt_dims)[0]
+            resid = z - p - partial_transpose(q, blk.ppt_dims)
             checks[f"dual_slack_block{k}_residual"] = float(np.linalg.norm(resid)) / scale
 
     # the values the solution reports must match what its blocks/multipliers

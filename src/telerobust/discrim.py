@@ -69,7 +69,9 @@ class DiscriminationInstrument:
     to a trace-preserving map.
 
     A branch that occurs k times is stored once, with multiplicity k
-    (default 1 for every branch).  ``subchannels`` and ``mats`` hold the
+    (default 1 for every branch).  Exactly equal branches passed
+    separately are merged here, in first-occurrence order, with their
+    multiplicities summed.  ``subchannels`` and ``mats`` hold the
     distinct branches; ``outcomes`` counts branches with multiplicity,
     sum_x k_x.  Only sums over all branches weight by k_x (the
     trace-preserving check); a max over branches, or one variable per
@@ -94,25 +96,31 @@ class DiscriminationInstrument:
             if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
                 raise ValueError(f"multiplicity {k!r} is not a positive integer")
         self.multiplicities = [int(k) for k in self.multiplicities]
-        ops = []
-        for s in self.subchannels:
+        first, branches, mults = {}, [], []
+        for s, k in zip(self.subchannels, self.multiplicities):
             if isinstance(s, ChoiOperator):
                 if s.in_dim != s.out_dim:
                     raise ValueError("subchannels need matching input and output dimension")
-                ops.append(ChoiOperator(s.matrix, s.in_dim, s.out_dim, validate=self.validate))
+                m, d = np.asarray(s.matrix, dtype=complex), s.in_dim
             else:
-                s = np.asarray(s, dtype=complex)
-                d = int(round(np.sqrt(np.sqrt(s.size))))
-                ops.append(ChoiOperator(s, d, d, validate=self.validate))
-        dims = {o.in_dim for o in ops}
-        if len(dims) != 1:
+                m = np.asarray(s, dtype=complex)
+                d = int(round(np.sqrt(np.sqrt(m.size))))
+            key = (d, m.shape, m.tobytes())
+            if key in first:
+                mults[first[key]] += k
+            else:
+                first[key] = len(branches)
+                branches.append((m, d))
+                mults.append(k)
+        ops = [ChoiOperator(m, d, d, validate=self.validate) for m, d in branches]
+        if len({o.in_dim for o in ops}) != 1:
             raise ValueError("subchannels differ in dimension")
-        self.subchannels = ops
+        self.subchannels, self.multiplicities = ops, mults
         if self.validate:
             d = ops[0].in_dim
             total = sum(
                 k * partial_trace(o.matrix, (d, d), keep=(0,))
-                for k, o in zip(self.multiplicities, ops)
+                for k, o in zip(mults, ops)
             )
             if np.linalg.norm(total - np.eye(d) / d) > _SUM_TOL:
                 raise ValueError("subchannels do not sum to a trace-preserving map")

@@ -138,21 +138,23 @@ def permute_systems(x, dims, perm):
 
 
 def partial_transpose(x, dims, subsystem=1):
-    """Partial transpose on one factor of a bipartite operator.
+    """Partial transpose on one factor of a bipartite operator, matrix-wise on a stack.
 
     ``dims`` must have exactly two entries; ``subsystem`` is 0 or 1.
     """
     if len(dims) != 2:
         raise ValueError("partial_transpose expects two-factor dims")
-    t, dims = _reshape_multi(x, dims)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
+    if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
+    dims = tuple(int(d) for d in dims)
     n = dims[0] * dims[1]
-    return t.reshape(n, n)
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (n, n):
+        raise ValueError(f"operator shape {x.shape} incompatible with dims {dims}")
+    lead = x.ndim - 2
+    swap = (2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1)
+    t = x.reshape(x.shape[:lead] + dims + dims)
+    return t.transpose(tuple(range(lead)) + tuple(lead + p for p in swap)).reshape(x.shape)
 
 
 def swap_operator(d):

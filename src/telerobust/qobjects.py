@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     dagger,
     frobenius_norm,
-    herm_eig,
     hermitize,
     is_hermitian,
     ket,

@@ -10,9 +10,10 @@ operators F_a, each positive under partial transposition, with
 and minimizes tr(tau) - 1.  Its dual searches for outcome-indexed
 witnesses A_a >= 0 together with a normalizing operator B (tr_V B = 1)
 such that every B - A_a splits as P + Q^{T_B} with P, Q >= 0, and
-maximizes d_V * sum_a tr[A_a J_a] - 1.  Both are solved independently
-here and cross-checked; separability is relaxed to the positive partial
-transpose, exact for d_V * d_B <= 6.
+maximizes d_V * sum_a tr[A_a J_a] - 1.  One solve of the dual gives
+both: the optimal cover is read off its multipliers, and the solution is
+accepted only once ``verify_certificate`` passes on it.  Separability is
+relaxed to the positive partial transpose, exact for d_V * d_B <= 6.
 
 The same machinery evaluates the robustness of entanglement of a state
 and, through an alternating measurement/witness optimization, the
@@ -26,13 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec
+from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec, verify_certificate
 from .linalg import (
     clip_psd,
-    frobenius_norm,
     hermitize,
     max_entangled,
-    min_eig,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -70,15 +69,14 @@ class RotPrimalSolution:
     instrument outcome-wise, ``tau`` the operator bounding their sum via
     d_V * sum_a F_a <= 1 (x) tau, and ``value`` equals tr(tau) - 1: the
     mixing weight separating the instrument from the classical set.
-    ``problem``/``solution`` keep the underlying conic data so the
-    certificate can be re-checked with ``verify_certificate``.
+    ``solution`` is the verified solution of ``rot_primal_problem(instr)[0]``;
+    rebuild that program to re-check it with ``verify_certificate``.
     """
 
     value: float
     classical_ops: list
     tau: np.ndarray
     dims: tuple
-    problem: object = field(default=None, repr=False)
     solution: object = field(default=None, repr=False)
 
 
@@ -91,8 +89,8 @@ class RotDualSolution:
     with B - A_a = P_a + Q_a^{T_B}, which certifies that the witnessed
     score d_V * sum_a tr[A_a F_a] - 1 is <= 0 on every classical
     instrument.  ``value`` is the score on the instrument itself.
-    ``problem``/``solution`` keep the underlying conic data so the
-    certificate can be re-checked with ``verify_certificate``.
+    ``solution`` is the verified solution of ``rot_dual_problem(instr)[0]``;
+    rebuild that program to re-check it with ``verify_certificate``.
     """
 
     value: float
@@ -100,7 +98,6 @@ class RotDualSolution:
     B_op: np.ndarray
     decompositions: list
     dims: tuple
-    problem: object = field(default=None, repr=False)
     solution: object = field(default=None, repr=False)
 
 
@@ -125,35 +122,17 @@ class RotCertificates:
         return abs(self.primal.value - self.dual.value)
 
 
-def _ensure(ok, msg):
-    if not ok:
-        raise SolverError(msg)
+def _solve_verified(prob, tol, what):
+    """Solve, then accept the solution only if ``verify_certificate`` passes.
 
-
-def _check_cover(f_ops, tau_op, js, dims, tol):
-    """Check a classical cover against every primal constraint.
-
-    Each F_a must be PSD, PPT and dominate J_a, the cap 1 (x) tau -
-    d_V * sum_a F_a must be PSD, and tr(tau) - 1 must not be negative.
-    Returns the value and the slack operators (F_a - J_a for every a,
-    then the cap), which are the remaining blocks of the primal program.
+    The check runs at max(50 * tol, 1e-9); a failure raises
+    :class:`SolverError` naming every check above that threshold.
     """
-    d_v, d_b = dims
-    chk = max(50.0 * tol, 1e-9)
-    gaps = []
-    for a, (f, j) in enumerate(zip(f_ops, js)):
-        _ensure(min_eig(f) >= -chk, f"classical operator {a} not PSD")
-        _ensure(
-            min_eig(partial_transpose(f, (d_v, d_b), 1)) >= -chk,
-            f"classical operator {a} not PPT",
-        )
-        gaps.append(f - j)
-        _ensure(min_eig(gaps[-1]) >= -chk, f"classical operator {a} does not dominate outcome")
-    cap = tensor(np.eye(d_v), tau_op) - d_v * sum(f_ops)
-    _ensure(min_eig(cap) >= -chk, "classical operators exceed the 1 (x) tau cap")
-    value = float(np.trace(tau_op).real) - 1.0
-    _ensure(value >= -chk, f"negative robustness {value:.3e}")
-    return value, gaps, cap
+    sol = solve_checked(prob, tol=tol, what=what)
+    report = verify_certificate(prob, sol, tol=max(50.0 * tol, 1e-9))
+    if not report.ok:
+        raise SolverError(f"{what} certificate failed verification: {'; '.join(report.messages)}")
+    return sol
 
 
 def rot_primal_problem(instr: TeleportationInstrument):
@@ -190,15 +169,15 @@ def rot_primal(instr: TeleportationInstrument, tol=1e-8) -> RotPrimalSolution:
     """Teleportation robustness by direct minimization.
 
     Solves min tr(tau) - 1 over PPT operators F_a >= J_a with
-    d_V * sum_a F_a <= 1 (x) tau.  The returned operators are checked
-    against all constraints before the value is trusted.
+    d_V * sum_a F_a <= 1 (x) tau.  The solution is verified against every
+    constraint before the value is trusted.
     """
     prob, fs, tau = rot_primal_problem(instr)
-    sol = solve_checked(prob, tol=tol, what="teleportation robustness primal")
+    sol = _solve_verified(prob, tol, "teleportation robustness primal")
     f_ops = [hermitize(sol.primal_blocks[f]) for f in fs]
     tau_op = hermitize(sol.primal_blocks[tau])
-    value, _, _ = _check_cover(f_ops, tau_op, instr.mats, instr.dims, tol)
-    return RotPrimalSolution(value, f_ops, tau_op, instr.dims, problem=prob, solution=sol)
+    value = float(np.trace(tau_op).real) - 1.0
+    return RotPrimalSolution(value, f_ops, tau_op, instr.dims, solution=sol)
 
 
 def rot_dual_problem(instr: TeleportationInstrument):
@@ -239,15 +218,15 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
 
     Solves max d_V * sum_a tr[A_a J_a] - 1 over PSD witnesses A_a and a
     PSD B with tr_V B = 1 such that each B - A_a decomposes as
-    P_a + Q_a^{T_B}.  The decompositions are returned so the certificate
-    can be re-verified without touching the solver.
+    P_a + Q_a^{T_B}.  The solution is verified against every constraint,
+    and the decompositions are returned so the certificate can be
+    re-verified without touching the solver.
     """
-    d_v, d_b = instr.dims
-    n = d_v * d_b
+    d_v = instr.dims[0]
     js = instr.mats
     prob, a_blocks, b_block, p_blocks, q_blocks = rot_dual_problem(instr)
 
-    sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
+    sol = _solve_verified(prob, tol, "teleportation robustness dual")
     a_ops = [hermitize(sol.primal_blocks[a]) for a in a_blocks]
     b_op = hermitize(sol.primal_blocks[b_block])
     pairs = [
@@ -256,34 +235,22 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     ]
     value = d_v * float(sum(np.vdot(a, j).real for a, j in zip(a_ops, js))) - 1.0
 
-    chk = max(50.0 * tol, 1e-9)
-    _ensure(min_eig(b_op) >= -chk, "normalizer B not PSD")
-    _ensure(
-        frobenius_norm(partial_trace(b_op, (d_v, d_b), keep=(1,)) - np.eye(d_b)) <= chk * n,
-        "tr_V B deviates from the identity",
-    )
-    for a, (a_op, (p, q)) in enumerate(zip(a_ops, pairs)):
-        _ensure(min_eig(a_op) >= -chk, f"witness {a} not PSD")
-        _ensure(min_eig(p) >= -chk and min_eig(q) >= -chk, f"decomposition pair {a} not PSD")
-        resid = b_op - a_op - p - partial_transpose(q, (d_v, d_b), 1)
-        _ensure(
-            frobenius_norm(resid) <= chk * n, f"witness {a} decomposition identity violated"
-        )
-    return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, problem=prob, solution=sol)
+    return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, solution=sol)
 
 
-def _primal_from_dual(instr, dual: RotDualSolution, tol):
+def _primal_from_dual(instr, dual: RotDualSolution):
     """The optimal classical cover encoded in the multipliers of a dual solve.
 
     The dual program's multipliers, stated for its minimization form,
     are y_a for the a-th decomposition equality and y_tau for
-    tr_V B = 1.  Its slack conditions say that F_a = smat(y_a)/d_V is
-    PSD, PPT and dominates J_a, and that with tau = -smat(y_tau) the cap
-    1 (x) tau - d_V * sum_a F_a is PSD; its dual value is tr(tau) - 1.
-    In turn the witnesses are the primal program's multipliers:
-    svec(d_V A_a) for the a-th domination row and svec(B) for the cap,
-    and the dual slack d_V (B - A_a) of F_a splits as
-    d_V P_a + (d_V Q_a)^{T_B}.
+    tr_V B = 1.  With F_a = smat(y_a)/d_V and tau = -smat(y_tau), its dual
+    slacks are d_V (F_a - J_a), the cap 1 (x) tau - d_V * sum_a F_a,
+    d_V F_a and (d_V F_a)^{T_B}, and its dual value is tr(tau) - 1.  The
+    verified dual solution has passed all of these, so the cover is
+    assembled by arithmetic only.  In turn the witnesses are the primal
+    program's multipliers: svec(d_V A_a) for the a-th domination row and
+    svec(B) for the cap, and the dual slack d_V (B - A_a) of F_a (PPT
+    block a) splits as d_V P_a + (d_V Q_a)^{T_B}.
     """
     d_v, d_b = instr.dims
     n = d_v * d_b
@@ -291,34 +258,34 @@ def _primal_from_dual(instr, dual: RotDualSolution, tol):
     y = dual.solution.dual_multipliers
     f_ops = [smat(y[a * n * n : (a + 1) * n * n], n) / d_v for a in range(len(js))]
     tau_op = -smat(y[len(js) * n * n :], d_b)
-    value, gaps, cap = _check_cover(f_ops, tau_op, js, instr.dims, tol)
-
-    prob, fs, _ = rot_primal_problem(instr)
+    gaps = [f - j for f, j in zip(f_ops, js)]
+    cap = tensor(np.eye(d_v), tau_op) - d_v * sum(f_ops)
+    value = float(np.trace(tau_op).real) - 1.0
     sol = SdpSolution(
         status="optimal",
         primal_blocks=f_ops + [tau_op] + gaps + [cap],
         dual_multipliers=np.concatenate([svec(d_v * a) for a in dual.witnesses_A] + [svec(dual.B_op)]),
-        ppt_pairs={f: (d_v * p, d_v * q) for f, (p, q) in zip(fs, dual.decompositions)},
+        ppt_pairs={a: (d_v * p, d_v * q) for a, (p, q) in enumerate(dual.decompositions)},
         primal_value=value,
         dual_value=dual.value,
         gap=abs(value - dual.value) / (1.0 + abs(value) + abs(dual.value)),
         iterations=dual.solution.iterations,
         message="assembled from the multipliers of the dual solve",
     )
-    return RotPrimalSolution(value, f_ops, tau_op, instr.dims, problem=prob, solution=sol)
+    return RotPrimalSolution(value, f_ops, tau_op, instr.dims, solution=sol)
 
 
 def rot_certified(instr: TeleportationInstrument, tol=1e-8) -> RotCertificates:
     """Teleportation robustness with both certificates, from one solve.
 
-    Solves the witness program (:func:`rot_dual`) and reads the optimal
-    classical cover off its multipliers, then checks the cover against
-    every primal constraint as :func:`rot_primal` does.  The two values
+    Solves the witness program (:func:`rot_dual`), whose verified
+    solution already certifies every constraint of the cover, and reads
+    the optimal classical cover off its multipliers.  The two values
     bound the robustness from below and above; an interval wider than
     10 * tol is an error rather than a silently wrong number.
     """
     dual = rot_dual(instr, tol=tol)
-    primal = _primal_from_dual(instr, dual, tol)
+    primal = _primal_from_dual(instr, dual)
     width = abs(primal.value - dual.value)
     if width > 10.0 * tol:
         raise SolverError(

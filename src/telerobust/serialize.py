@@ -11,8 +11,9 @@ Experiment files are ``{"version": 2, "objects": {name: payload}}``.  A
 discrimination payload lists each distinct branch once under
 ``"subchannels"`` and, under ``"multiplicities"``, one positive integer
 per branch: how many times it occurs.  Version 1 files, which wrote
-every branch out and had no multiplicities, are still read; their exactly
-equal branches are merged into one branch with a multiplicity.
+every branch out and had no multiplicities, are still read; as with any
+construction, ``DiscriminationInstrument`` merges their exactly equal
+branches into one branch with a multiplicity.
 
 A solver certificate (``certificate_payload``) holds the primal blocks,
 the dual multipliers, the two objective values and ``"ppt_pairs"``: a
@@ -304,17 +305,9 @@ def _decode_discrimination(obj, path):
 
 
 def _decode_discrimination_v1(obj, path):
-    """Version 1 wrote every branch out: merge exact copies, first occurrence first."""
-    first, mats, mults = {}, [], []
-    for m in _discrimination_branches(obj, path):
-        key = m.tobytes()
-        if key in first:
-            mults[first[key]] += 1
-        else:
-            first[key] = len(mats)
-            mats.append(m)
-            mults.append(1)
-    return _wrap(path, lambda: DiscriminationInstrument(mats, mults))
+    """Version 1 wrote every branch out, with no multiplicities."""
+    mats = _discrimination_branches(obj, path)
+    return _wrap(path, lambda: DiscriminationInstrument(mats))
 
 
 def _decode_tomography(obj, path):

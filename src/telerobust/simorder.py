@@ -23,7 +23,6 @@ from .games import CorrelationGame, game_score
 from .linalg import dagger, hermitize, max_entangled, tensor
 from .qobjects import (
     ChoiOperator,
-    DensityMatrix,
     TeleportationInstrument,
     build_instrument,
     choi_adjoint,

@@ -48,8 +48,10 @@ from telerobust.rot import (
     robustness_of_entanglement,
     rot_certified,
     rot_dual,
+    rot_dual_problem,
     rot_max_over_povm,
     rot_primal,
+    rot_primal_problem,
 )
 from telerobust.simorder import check_monotones
 
@@ -127,9 +129,10 @@ def test_strong_duality_with_verified_certificates():
         dual = cert.dual
         assert abs(prim.value - dual.value) <= 1e-6
         assert abs(prim.value - cert.primal.value) <= 1e-6
-        assert verify_certificate(prim.problem, prim.solution, tol=1e-6).ok
-        assert verify_certificate(dual.problem, dual.solution, tol=1e-6).ok
-        assert verify_certificate(cert.primal.problem, cert.primal.solution, tol=1e-6).ok
+        primal_prob = rot_primal_problem(instr)[0]
+        assert verify_certificate(primal_prob, prim.solution, tol=1e-6).ok
+        assert verify_certificate(rot_dual_problem(instr)[0], dual.solution, tol=1e-6).ok
+        assert verify_certificate(primal_prob, cert.primal.solution, tol=1e-6).ok
 
 
 def test_classical_fidelity_threshold():

@@ -9,6 +9,7 @@ import pytest
 from telerobust import cli
 from telerobust.conic import SolverError, verify_certificate
 from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
+from telerobust.linalg import hermitize
 from telerobust.qobjects import (
     bell_povm,
     build_instrument,
@@ -507,6 +508,32 @@ class TestInstrumentFlow:
         assert all(
             np.allclose(a, b, atol=1e-8) for a, b in zip(fitted.mats, instr.mats)
         )
+
+    def test_fit_of_heavy_noise_exits_3_and_saves_nothing(self, files, tmp_path, capsys):
+        """A fit whose residual reaches --tol is not a valid instrument: nothing is written."""
+        rng = np.random.default_rng(8)
+        probes = pauli_six()
+        noisy = TomographyData(
+            [
+                [
+                    choi_apply(j, 2, 2, w.matrix)
+                    + 0.2 * hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                    for w in probes.states
+                ]
+                for j in ideal_instrument(2).mats
+            ]
+        )
+        data_file = tmp_path / "noisy.json"
+        fit_file = tmp_path / "fitted.json"
+        save_experiment(data_file, {"data": noisy})
+        code = cli.main(
+            ["instrument", "fit", "--inputs", str(files["pauli6"]), "--data", str(data_file), "--save", str(fit_file)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(data_file) in err
+        assert re.search(r"residual \d\.\d{3}e[-+]\d+ >= tol 0\.0001", err), err
+        assert not fit_file.exists()
 
 
 class TestSimFlow:

@@ -21,7 +21,7 @@ from telerobust.conic import (
 )
 from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose, tensor
 from telerobust.qobjects import bell_povm, build_instrument, isotropic_state, rand_povm, rand_state
-from telerobust.rot import rot_certified, rot_primal_problem
+from telerobust.rot import rot_certified, rot_dual_problem, rot_primal_problem
 
 
 def _min_trace_problem():
@@ -412,7 +412,7 @@ def _checker_case(name):
         d, p = {"d2_p0.7": (2, 0.7), "d2_p1/3": (2, 1 / 3), "d3_p0.6": (3, 0.6)}[name]
         instr = build_instrument(bell_povm(d), isotropic_state(p, d))
     cert = rot_certified(instr)
-    return cert.primal.problem, cert.primal.solution, cert.dual.problem, cert.dual.solution
+    return rot_primal_problem(instr)[0], cert.primal.solution, rot_dual_problem(instr)[0], cert.dual.solution
 
 
 @pytest.mark.parametrize("name", ["d2_p0.7", "d2_p1/3", "d3_p0.6", "random_instrument", "mixed"])
@@ -456,8 +456,8 @@ class TestPairBasedChecker:
 
     @pytest.fixture(scope="class")
     def certificate(self):
-        primal = rot_certified(build_instrument(bell_povm(2), isotropic_state(0.7, 2))).primal
-        return primal.problem, primal.solution
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        return rot_primal_problem(instr)[0], rot_certified(instr).primal.solution
 
     @staticmethod
     def _failed(problem, solution):
@@ -507,3 +507,53 @@ class TestPairBasedChecker:
         failed, rep = self._failed(prob, sol)
         assert failed == {"dual_slack_block2"}
         assert "no decomposition pair (P, Q) for PPT block 2" in rep.messages
+
+
+class TestShapeCheck:
+    """A solution that does not fit the problem fails one named ``shape`` check.
+
+    The certificate is the robustness dual of an isotropic d = 2
+    instrument: 13 blocks of size 4 and 68 rows.
+    """
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        return rot_dual_problem(instr)[0], rot_certified(instr).dual.solution
+
+    @staticmethod
+    def _shape_message(problem, solution):
+        rep = verify_certificate(problem, solution)
+        assert not rep.ok
+        assert rep.checks == {"shape": np.inf}
+        assert "'shape'" in rep.messages[-1]
+        return rep.messages[:-1]
+
+    def test_multipliers_cut(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.dual_multipliers = sol.dual_multipliers[:-3]
+        assert self._shape_message(prob, sol) == ["expected 68 dual multipliers, got 65"]
+
+    def test_multiplier_added(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.dual_multipliers = np.append(sol.dual_multipliers, 0.0)
+        assert self._shape_message(prob, sol) == ["expected 68 dual multipliers, got 69"]
+
+    def test_primal_block_dropped(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        del sol.primal_blocks[4]
+        assert self._shape_message(prob, sol) == ["expected 13 primal blocks, got 12"]
+
+    def test_primal_block_of_wrong_size(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.primal_blocks[4] = sol.primal_blocks[4][:2, :2]
+        assert self._shape_message(prob, sol) == ["primal block 4 has shape (2, 2), expected (4, 4)"]
+
+    def test_pair_of_wrong_size(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        prob, sol = rot_primal_problem(instr)[0], rot_certified(instr).primal.solution
+        p, q = sol.ppt_pairs[1]
+        sol.ppt_pairs[1] = (p, q[:2, :2])
+        assert self._shape_message(prob, sol) == [
+            "pair (P, Q) of block 1 has shapes [(4, 4), (2, 2)], expected (4, 4)"
+        ]

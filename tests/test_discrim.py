@@ -30,7 +30,7 @@ from telerobust.qobjects import (
     rand_povm,
     rand_state,
 )
-from telerobust.rot import RotDualSolution, rot, rot_dual
+from telerobust.rot import RotDualSolution, classical_max, rot, rot_dual
 
 
 def _one_outcome_instrument(d=2):
@@ -130,7 +130,13 @@ class TestMultiplicities:
 
     def _assert_equivalent(self, e, instruments, strategy):
         copies = _as_copies(e)
-        assert len(copies.mats) == e.outcomes == copies.outcomes
+        assert copies.multiplicities == e.multiplicities and copies.outcomes == e.outcomes
+        for a, b in zip(copies.mats, e.mats, strict=True):
+            np.testing.assert_array_equal(a, b)
+        # one PPT variable per written-out copy gives the same benchmark
+        payoffs = [c for c, k in zip(discrim._guess_pullbacks(e), e.multiplicities) for _ in range(k)]
+        unmerged = classical_max(payoffs, (e.dim, e.dim), 1e-9)[0]
+        assert abs(classical_p_succ_ensemble(e) - unmerged) <= 1e-9
         for instr in instruments:
             assert abs(p_succ(e, instr) - p_succ(copies, instr)) <= 1e-9
         assert abs(p_succ_strategy(e, strategy) - p_succ_strategy(copies, strategy)) <= 1e-9
@@ -148,6 +154,23 @@ class TestMultiplicities:
         assert e.outcomes == 6
         instruments = [ideal_instrument(2), _entangled_instrument(31), _product_instrument(rng)]
         self._assert_equivalent(e, instruments, self._strategy(rng))
+
+    def test_explicit_copies_are_merged_in_first_occurrence_order(self):
+        """204 written-out branches become the 5 distinct ones of the multiplicity form."""
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        e, _ = build_discrimination_from_dual(rot_dual(instr), fictitious=200)
+        written = [m for m, k in zip(e.mats, e.multiplicities) for _ in range(k)]
+        assert len(written) == 204
+        backwards = DiscriminationInstrument(written[::-1])
+        assert backwards.multiplicities == [200, 1, 1, 1, 1]
+        np.testing.assert_array_equal(backwards.mats[0], e.mats[-1])
+        merged = DiscriminationInstrument(written)
+        assert merged.multiplicities == e.multiplicities == [1, 1, 1, 1, 200]
+        for a, b in zip(merged.mats, e.mats, strict=True):
+            np.testing.assert_array_equal(a, b)
+        for x in (instr, ideal_instrument(2)):
+            assert p_succ(merged, x) == p_succ(e, x)
+        assert abs(classical_p_succ_ensemble(merged) - classical_p_succ_ensemble(e)) <= 1e-12
 
     def test_equivalent_to_explicit_copies_on_a_built_task(self):
         instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))

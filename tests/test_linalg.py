@@ -105,6 +105,18 @@ def test_partial_transpose_is_involutive():
     )
 
 
+@pytest.mark.parametrize("subsystem", [0, 1])
+def test_partial_transpose_of_a_stack_is_matrix_wise(subsystem):
+    rng = np.random.default_rng(15)
+    stack = np.stack([_rand_herm(rng, 6) + 1j * _rand_psd(rng, 6) for _ in range(5)])
+    got = partial_transpose(stack, (2, 3), subsystem)
+    assert got.shape == stack.shape
+    for x, y in zip(stack, got):
+        np.testing.assert_array_equal(y, partial_transpose(x, (2, 3), subsystem))
+    with pytest.raises(ValueError, match="incompatible"):
+        partial_transpose(stack[:, :4, :4], (2, 3), subsystem)
+
+
 def test_entangled_state_fails_ppt_product_state_passes():
     phi = max_entangled(2)
     assert min_eig(partial_transpose(phi, (2, 2), 1)) < -0.4

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from telerobust.conic import SolverError, verify_certificate
+from telerobust import rot as rot_module
+from telerobust.conic import SolverError, smat, svec, verify_certificate
 from telerobust.linalg import (
     dagger,
     frobenius_norm,
@@ -32,8 +33,10 @@ from telerobust.rot import (
     rot,
     rot_certified,
     rot_dual,
+    rot_dual_problem,
     rot_max_over_povm,
     rot_primal,
+    rot_primal_problem,
 )
 
 
@@ -132,13 +135,109 @@ def test_bell_isotropic_closed_form(d, p):
     inst = build_instrument(bell_povm(d), _isotropic(p, d))
     expected = max(0.0, d * (p + (1.0 - p) / d**2) - 1.0)
     cert = rot_certified(inst)
-    for sol in (rot_primal(inst), cert.dual, cert.primal):
+    primal_prob, dual_prob = rot_primal_problem(inst)[0], rot_dual_problem(inst)[0]
+    for sol, prob in ((rot_primal(inst), primal_prob), (cert.dual, dual_prob), (cert.primal, primal_prob)):
         assert abs(sol.value - expected) <= 1e-6
-        report = verify_certificate(sol.problem, sol.solution)
+        report = verify_certificate(prob, sol.solution)
         assert report.ok, report.messages
     assert cert.value >= 0.0 and abs(cert.value - expected) <= 1e-6
     if p == 1.0 / (d + 1):
         assert cert.value <= 1e-8
+
+
+class TestSolveIsVerified:
+    """A dual solve is accepted only once ``verify_certificate`` passes.
+
+    The solver's output is tampered through a monkeypatched
+    ``rot.solve_checked``, and each tampering breaks one condition of the
+    witness program or of the cover read off its multipliers.  The dual
+    program of a d = 2 isotropic instrument has blocks A_a (0-3), B (4),
+    P_a (5-8) and Q_a (9-12); rows 16a .. 16a + 15 hold
+    B - A_a - P_a - Q_a^{T_B} = 0 (multipliers svec(d_V F_a)) and rows
+    64-67 tr_V B = 1 (multipliers -svec(tau)).
+    """
+
+    SHIFT = 1e-4
+    INSTR = build_instrument(bell_povm(2), _isotropic(0.7))
+
+    @staticmethod
+    def _install(monkeypatch, edit):
+        real = rot_module.solve_checked
+
+        def tampered(prob, **kwargs):
+            sol = real(prob, **kwargs)
+            edit(sol)
+            return sol
+
+        monkeypatch.setattr(rot_module, "solve_checked", tampered)
+
+    def _fails(self, monkeypatch, edit, check, solve=rot_dual):
+        self._install(monkeypatch, edit)
+        with pytest.raises(SolverError, match="certificate failed verification") as exc:
+            solve(self.INSTR)
+        assert f"'{check}'" in str(exc.value)
+
+    def _below_zero(self, m):
+        """The shift s that leaves m - s * 1 with least eigenvalue -SHIFT."""
+        return min_eig(m) + self.SHIFT
+
+    def test_untampered_solve_passes(self, monkeypatch):
+        self._install(monkeypatch, lambda sol: None)
+        assert abs(rot_certified(self.INSTR).value - 0.55) <= 1e-6
+
+    def test_witness_not_psd(self, monkeypatch):
+        def edit(sol):
+            s = self._below_zero(sol.primal_blocks[0])
+            sol.primal_blocks[0] = sol.primal_blocks[0] - s * np.eye(4)
+            sol.primal_blocks[5] = sol.primal_blocks[5] + s * np.eye(4)
+
+        self._fails(monkeypatch, edit, "primal_psd_block0")
+
+    def test_normalizer_not_psd(self, monkeypatch):
+        def edit(sol):
+            sol.primal_blocks[4] = sol.primal_blocks[4] - self._below_zero(sol.primal_blocks[4]) * np.eye(4)
+
+        self._fails(monkeypatch, edit, "primal_psd_block4")
+
+    def test_normalizer_marginal_off_identity(self, monkeypatch):
+        def edit(sol):
+            for k in (4, 5, 6, 7, 8):  # B and every P_a, so only tr_V B moves
+                sol.primal_blocks[k] = sol.primal_blocks[k] + self.SHIFT * np.eye(4)
+
+        self._fails(monkeypatch, edit, "row64")
+
+    @pytest.mark.parametrize("block, partner", [(6, 10), (11, 7)], ids=["P", "Q"])
+    def test_decomposition_pair_not_psd(self, monkeypatch, block, partner):
+        def edit(sol):
+            s = self._below_zero(sol.primal_blocks[block])
+            sol.primal_blocks[block] = sol.primal_blocks[block] - s * np.eye(4)
+            sol.primal_blocks[partner] = sol.primal_blocks[partner] + s * np.eye(4)
+
+        self._fails(monkeypatch, edit, f"primal_psd_block{block}")
+
+    def test_decomposition_identity_violated(self, monkeypatch):
+        def edit(sol):
+            sol.primal_blocks[8] = sol.primal_blocks[8] + self.SHIFT * np.eye(4)
+
+        self._fails(monkeypatch, edit, "row48")
+
+    def test_cover_does_not_dominate_outcome(self, monkeypatch):
+        def edit(sol):
+            y = sol.dual_multipliers
+            f = smat(y[16:32], 4) / 2.0
+            s = self._below_zero(f - self.INSTR.mats[1])
+            y[16:32] -= svec(2.0 * s * np.eye(4))
+
+        self._fails(monkeypatch, edit, "dual_slack_block1", solve=rot_certified)
+
+    def test_cover_exceeds_the_cap(self, monkeypatch):
+        def edit(sol):
+            y = sol.dual_multipliers
+            fs = [smat(y[16 * a : 16 * a + 16], 4) / 2.0 for a in range(4)]
+            cap = tensor(np.eye(2), -smat(y[64:], 2)) - 2.0 * sum(fs)
+            y[64:] += svec(self._below_zero(cap) * np.eye(2))
+
+        self._fails(monkeypatch, edit, "dual_slack_block4", solve=rot_certified)
 
 
 class TestOracleValues:
@@ -183,8 +282,8 @@ class TestOracleValues:
         assert p.value >= -1e-7
         cert = rot_certified(inst)
         assert abs(cert.value - p.value) <= 1e-7
-        for sol in (cert.primal, cert.dual):
-            report = verify_certificate(sol.problem, sol.solution)
+        for sol, build in ((cert.primal, rot_primal_problem), (cert.dual, rot_dual_problem)):
+            report = verify_certificate(build(inst)[0], sol.solution)
             assert report.ok, report.messages
 
 

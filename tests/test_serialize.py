@@ -30,7 +30,7 @@ from telerobust.qobjects import (
     rand_povm,
     rand_state,
 )
-from telerobust.rot import rot_certified, rot_dual, rot_dual_problem
+from telerobust.rot import rot_certified, rot_dual, rot_dual_problem, rot_primal_problem
 from telerobust.serialize import (
     FileFormatError,
     ResultRecord,
@@ -429,8 +429,9 @@ class TestCertificatePayload:
         for k, (p, q) in primal.solution.ppt_pairs.items():
             np.testing.assert_array_equal(back.ppt_pairs[k][0], p)
             np.testing.assert_array_equal(back.ppt_pairs[k][1], q)
-        direct = verify_certificate(primal.problem, primal.solution, tol=1e-6)
-        reloaded = verify_certificate(primal.problem, back, tol=1e-6)
+        prob = rot_primal_problem(instr)[0]
+        direct = verify_certificate(prob, primal.solution, tol=1e-6)
+        reloaded = verify_certificate(prob, back, tol=1e-6)
         assert direct.ok and reloaded.ok
         assert reloaded.max_violation == direct.max_violation
 
