@@ -1,10 +1,18 @@
 """Command-line front end.
 
 Every subcommand loads validated experiment files, runs one pipeline,
-and emits a result record (JSON by default, CSV on request) holding the
-computed values, any solver certificates, warnings, and the wall time.
-All randomness sits behind ``--seed`` with a fixed default, so a rerun
-of any command line reproduces its output.
+and emits a result record (JSON by default, CSV with ``--format csv``)
+holding the computed values, any solver certificates, warnings, and the
+wall time; ``sweep`` writes a CSV table instead.  ``main`` fills in each
+record's ``command`` from the parsed command path and its ``inputs``
+from the digests of the files the handler loaded, so a handler states
+only what it computed.
+
+Each command accepts only the flags it reads; any other flag exits 2.
+``--tol`` is declared, with its default, on the commands that pass it to
+a solve or a fit, and ``--seed`` only on ``sim check``, the one command
+that samples.  A rerun of any command line reproduces its output, apart
+from the wall time.
 
 Exit codes: 0 success, 2 unknown command or bad flags, 3 invalid or
 inconsistent input files, 4 solver failure, 5 internal numerical failure
@@ -33,6 +41,7 @@ from .discrim import (
     pauli_twirl_instrument,
 )
 from .games import (
+    FAMILY_KINDS,
     CorrelationGame,
     UnitaryFamily,
     average_fidelity,
@@ -79,8 +88,6 @@ EXIT_FILE = 3
 EXIT_SOLVER = 4
 EXIT_NUMERIC = 5
 
-_FAMILIES = ("identity_only", "pauli_group", "seesaw_polished")
-
 
 def _ppt_warnings(d_v, d_b):
     n = d_v * d_b
@@ -94,7 +101,13 @@ def _ppt_warnings(d_v, d_b):
     return []
 
 
-def _pick(path, cls, what):
+def _pick(args, flag, cls, what):
+    """The one ``cls`` object in the file named by ``--<flag>``.
+
+    Records the file's digest under ``flag`` in ``args.loaded``, which
+    ``main`` writes to the record's ``inputs``.
+    """
+    path = getattr(args, flag)
     objects = load_experiment(path)
     found = sorted(
         (name, obj) for name, obj in objects.items() if isinstance(obj, cls)
@@ -103,6 +116,7 @@ def _pick(path, cls, what):
         raise FileFormatError(
             str(path), f"expected exactly one {what} object, found {len(found)}"
         )
+    args.loaded[flag] = file_digest(path)
     return found[0][1]
 
 
@@ -121,25 +135,19 @@ def _record_csv(record: ResultRecord) -> str:
     return head + "\n" + row + "\n"
 
 
-def _emit(record: ResultRecord, args):
-    text = _record_csv(record) if args.format == "csv" else record_dumps(record)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _tol(args, default):
-    return default if args.tol is None else float(args.tol)
-
-
 def cmd_rot_compute(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    cert = rot_certified(instr, tol=_tol(args, 1e-8))
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    cert = rot_certified(instr, tol=args.tol)
     return ResultRecord(
-        command="rot compute",
-        inputs={"instrument": file_digest(args.instrument)},
         values={
             "robustness": cert.value,
             "primal_value": cert.primal.value,
@@ -155,11 +163,9 @@ def cmd_rot_compute(args):
 
 
 def cmd_rot_dual(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    d = rot_dual(instr, tol=_tol(args, 1e-8))
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    d = rot_dual(instr, tol=args.tol)
     return ResultRecord(
-        command="rot dual",
-        inputs={"instrument": file_digest(args.instrument)},
         values={"robustness_lower_bound": d.value},
         certificates={"dual": certificate_payload(d.solution)},
         warnings=_ppt_warnings(*instr.dims),
@@ -167,74 +173,50 @@ def cmd_rot_dual(args):
 
 
 def cmd_instrument_build(args):
-    measurement = _pick(args.measurement, Povm, "POVM")
-    state = _pick(args.state, DensityMatrix, "state")
+    measurement = _pick(args, "measurement", Povm, "POVM")
+    state = _pick(args, "state", DensityMatrix, "state")
     instr = build_instrument(measurement, state)
     save_experiment(args.save, {"instrument": instr})
-    return ResultRecord(
-        command="instrument build",
-        inputs={
-            "measurement": file_digest(args.measurement),
-            "state": file_digest(args.state),
-        },
-        values={"outcomes": instr.outcomes, "d_v": instr.dims[0], "d_b": instr.dims[1]},
-    )
+    return ResultRecord(values={"outcomes": instr.outcomes, "d_v": instr.dims[0], "d_b": instr.dims[1]})
 
 
 def cmd_instrument_ideal(args):
     instr = ideal_instrument(args.d)
     save_experiment(args.save, {"instrument": instr})
-    return ResultRecord(
-        command="instrument ideal",
-        values={"d": args.d, "outcomes": instr.outcomes},
-    )
+    return ResultRecord(values={"d": args.d, "outcomes": instr.outcomes})
 
 
 def cmd_instrument_realize(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
     state, measurement = realize_from_choi(instr)
     rebuilt = build_instrument(measurement, state)
     residual = max(
         float(np.linalg.norm(a - b)) for a, b in zip(rebuilt.mats, instr.mats)
     )
     save_experiment(args.save, {"state": state, "measurement": measurement})
-    return ResultRecord(
-        command="instrument realize",
-        inputs={"instrument": file_digest(args.instrument)},
-        values={"round_trip_residual": residual},
-    )
+    return ResultRecord(values={"round_trip_residual": residual})
 
 
 def cmd_instrument_fit(args):
-    inputs = _pick(args.inputs, InputEnsemble, "input ensemble")
-    data = _pick(args.data, TomographyData, "tomography data")
-    tol = _tol(args, 1e-4)
-    instr, residual = fit_choi(inputs, data.data, tol=tol)
-    if residual >= tol:
+    inputs = _pick(args, "inputs", InputEnsemble, "input ensemble")
+    data = _pick(args, "data", TomographyData, "tomography data")
+    instr, residual = fit_choi(inputs, data.data, tol=args.tol)
+    if residual >= args.tol:
         raise FileFormatError(
             str(args.data),
-            f"tomography data fit with residual {residual:.3e} >= tol {tol:g}; "
+            f"tomography data fit with residual {residual:.3e} >= tol {args.tol:g}; "
             "the raw fit is not a valid instrument, so nothing was saved",
         )
     save_experiment(args.save, {"instrument": instr})
-    return ResultRecord(
-        command="instrument fit",
-        inputs={
-            "inputs": file_digest(args.inputs),
-            "data": file_digest(args.data),
-        },
-        values={"residual": residual, "outcomes": instr.outcomes},
-    )
+    return ResultRecord(values={"residual": residual, "outcomes": instr.outcomes})
 
 
 def cmd_game_build_from_dual(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    dual = rot_dual(instr, tol=_tol(args, 1e-8))
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    dual = rot_dual(instr, tol=args.tol)
     game = build_game_from_dual(dual)
     save_experiment(args.save, {"game": game})
     return ResultRecord(
-        command="game build-from-dual",
-        inputs={"instrument": file_digest(args.instrument)},
         values={"dual_value": dual.value, "outcomes": game.outcomes},
         certificates={"dual": certificate_payload(dual.solution)},
         warnings=_ppt_warnings(*instr.dims),
@@ -242,41 +224,30 @@ def cmd_game_build_from_dual(args):
 
 
 def cmd_game_score(args):
-    game = _pick(args.game, CorrelationGame, "game")
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
+    game = _pick(args, "game", CorrelationGame, "game")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
     score = game_score(
         game, instr, UnitaryFamily(args.family), relabelings=args.relabel
     )
-    return ResultRecord(
-        command="game score",
-        inputs={
-            "game": file_digest(args.game),
-            "instrument": file_digest(args.instrument),
-        },
-        values={"score": score},
-    )
+    return ResultRecord(values={"score": score})
 
 
 def cmd_game_classical(args):
-    game = _pick(args.game, CorrelationGame, "game")
-    score = classical_game_score(game, UnitaryFamily(args.family), tol=_tol(args, 1e-9))
+    game = _pick(args, "game", CorrelationGame, "game")
+    score = classical_game_score(game, UnitaryFamily(args.family), tol=args.tol)
     d_out = game.targets[0].shape[0] // game.spectator_dim
     return ResultRecord(
-        command="game classical",
-        inputs={"game": file_digest(args.game)},
         values={"classical_score": score},
         warnings=_ppt_warnings(game.probe_dim, d_out),
     )
 
 
 def cmd_discrim_build_from_dual(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    dual = rot_dual(instr, tol=_tol(args, 1e-8))
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    dual = rot_dual(instr, tol=args.tol)
     e, cons = build_discrimination_from_dual(dual, fictitious=args.fictitious)
     save_experiment(args.save, {"discrimination": e})
     return ResultRecord(
-        command="discrim build-from-dual",
-        inputs={"instrument": file_digest(args.instrument)},
         values={
             "alpha": cons.alpha,
             "fictitious_count": cons.fictitious_count,
@@ -289,25 +260,16 @@ def cmd_discrim_build_from_dual(args):
 
 
 def cmd_discrim_psucc(args):
-    e = _pick(args.e, DiscriminationInstrument, "discrimination instrument")
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    return ResultRecord(
-        command="discrim psucc",
-        inputs={
-            "e": file_digest(args.e),
-            "instrument": file_digest(args.instrument),
-        },
-        values={"p_succ": p_succ(e, instr)},
-    )
+    e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    return ResultRecord(values={"p_succ": p_succ(e, instr)})
 
 
 def cmd_discrim_classical(args):
-    e = _pick(args.e, DiscriminationInstrument, "discrimination instrument")
+    e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
     return ResultRecord(
-        command="discrim classical",
-        inputs={"e": file_digest(args.e)},
         values={
-            "ensemble": classical_p_succ_ensemble(e, tol=_tol(args, 1e-9)),
+            "ensemble": classical_p_succ_ensemble(e, tol=args.tol),
             "product": classical_p_succ_product(e),
         },
         warnings=_ppt_warnings(e.dim, e.dim),
@@ -315,16 +277,11 @@ def cmd_discrim_classical(args):
 
 
 def cmd_discrim_ratio(args):
-    e = _pick(args.e, DiscriminationInstrument, "discrimination instrument")
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=_tol(args, 1e-9)))
+    e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=args.tol))
     numerator = p_succ(e, instr)
     return ResultRecord(
-        command="discrim ratio",
-        inputs={
-            "e": file_digest(args.e),
-            "instrument": file_digest(args.instrument),
-        },
         values={
             "ratio": numerator / denominator,
             "numerator": numerator,
@@ -335,8 +292,8 @@ def cmd_discrim_ratio(args):
 
 
 def cmd_sim_apply(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    sim = _pick(args.sim, (ClassicalSimulation, QuantumSimulation), "simulation")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
+    sim = _pick(args, "sim", (ClassicalSimulation, QuantumSimulation), "simulation")
     if isinstance(sim, ClassicalSimulation):
         simmed = apply_classical_sim(instr, sim)
         kind = "classical"
@@ -345,11 +302,6 @@ def cmd_sim_apply(args):
         kind = "quantum"
     save_experiment(args.save, {"instrument": simmed})
     return ResultRecord(
-        command="sim apply",
-        inputs={
-            "instrument": file_digest(args.instrument),
-            "sim": file_digest(args.sim),
-        },
         values={
             "kind": kind,
             "outcomes": simmed.outcomes,
@@ -380,18 +332,16 @@ def _violation_payload(v):
 
 
 def cmd_sim_check(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
     report = check_monotones(
         instr,
         classical_samples=args.classical,
         quantum_samples=args.quantum,
         mixture_samples=args.mixtures,
         seed=args.seed,
-        tol=_tol(args, 1e-6),
+        tol=args.tol,
     )
     return ResultRecord(
-        command="sim check",
-        inputs={"instrument": file_digest(args.instrument)},
         values={
             "checked": report.checked,
             "violations": len(report.violations),
@@ -406,19 +356,13 @@ def cmd_sim_check(args):
 
 
 def cmd_fidelity(args):
-    instr = _pick(args.instrument, TeleportationInstrument, "instrument")
-    inputs_digest = {}
+    instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
     if args.inputs:
-        ensemble = _pick(args.inputs, InputEnsemble, "input ensemble")
-        inputs_digest["inputs"] = file_digest(args.inputs)
+        ensemble = _pick(args, "inputs", InputEnsemble, "input ensemble")
     else:
         ensemble = pauli_six()
     value = average_fidelity(instr, ensemble, UnitaryFamily(args.family))
-    return ResultRecord(
-        command="fidelity",
-        inputs={"instrument": file_digest(args.instrument), **inputs_digest},
-        values={"average_fidelity": value},
-    )
+    return ResultRecord(values={"average_fidelity": value})
 
 
 def _load_sweep_config(path):
@@ -455,7 +399,7 @@ def _load_sweep_config(path):
 def cmd_sweep(args):
     grid = _load_sweep_config(args.config)
     ideal = ideal_instrument(2)
-    game = build_game_from_dual(rot_dual(ideal, tol=_tol(args, 1e-8)))
+    game = build_game_from_dual(rot_dual(ideal, tol=args.tol))
     twirl = pauli_twirl_instrument(2)
     denominator = classical_p_succ_ensemble(twirl)
     probes = pauli_six()
@@ -465,18 +409,13 @@ def cmd_sweep(args):
     lines = ["p,robustness,fidelity,game_score,discrimination_ratio"]
     for p in grid:
         instr = build_instrument(bell, isotropic_state(p, 2))
-        t_val = rot(instr, tol=_tol(args, 1e-8))
+        t_val = rot(instr, tol=args.tol)
         fid = average_fidelity(instr, probes, family)
         score = game_score(game, instr)
         ratio = p_succ(twirl, instr) / denominator
         cells = [p, t_val, fid, score, ratio]
         lines.append(",".join(f"{c:.17g}" for c in cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return None
 
 
@@ -491,11 +430,17 @@ def _positive_int(text):
     return value
 
 
-def _leaf(p, handler):
-    p.add_argument("--tol", type=float, default=None, help="numerical tolerance (command-specific default)")
-    p.add_argument("--seed", type=int, default=0, help="seed for any sampled quantity (default 0)")
+def _leaf(p, handler, tol=None, record=True):
+    """Flags every command shares; ``--tol`` only where a default is given.
+
+    ``record=False`` marks a command that writes a table, not a result
+    record, and so takes no ``--format``.
+    """
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol, help="numerical tolerance (default %(default)g)")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="result record format")
+    if record:
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="result record format")
     p.set_defaults(handler=handler)
 
 
@@ -513,10 +458,10 @@ def build_parser():
     rot_sub = rot_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     p = rot_sub.add_parser("compute", help="robustness with primal and dual certificates")
     p.add_argument("--instrument", required=True, help="experiment file holding the instrument")
-    _leaf(p, cmd_rot_compute)
+    _leaf(p, cmd_rot_compute, tol=1e-8)
     p = rot_sub.add_parser("dual", help="witness certificate only")
     p.add_argument("--instrument", required=True)
-    _leaf(p, cmd_rot_dual)
+    _leaf(p, cmd_rot_dual, tol=1e-8)
 
     in_p = sub.add_parser("instrument", help="construct, fit, or realize instruments")
     in_sub = in_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
@@ -529,7 +474,7 @@ def build_parser():
     p.add_argument("--inputs", required=True, help="probe ensemble file")
     p.add_argument("--data", required=True, help="tomography data file")
     p.add_argument("--save", required=True)
-    _leaf(p, cmd_instrument_fit)
+    _leaf(p, cmd_instrument_fit, tol=1e-4)
     p = in_sub.add_parser("ideal", help="Bell measurement on a maximally entangled pair")
     p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
     p.add_argument("--save", required=True)
@@ -544,17 +489,17 @@ def build_parser():
     p = game_sub.add_parser("build-from-dual", help="game whose advantage witnesses the robustness")
     p.add_argument("--instrument", required=True)
     p.add_argument("--save", required=True)
-    _leaf(p, cmd_game_build_from_dual)
+    _leaf(p, cmd_game_build_from_dual, tol=1e-8)
     p = game_sub.add_parser("score", help="score an instrument on a game")
     p.add_argument("--game", required=True)
     p.add_argument("--instrument", required=True)
-    p.add_argument("--family", choices=_FAMILIES, default="identity_only")
+    p.add_argument("--family", choices=FAMILY_KINDS, default="identity_only")
     p.add_argument("--relabel", choices=("on", "off"), default="off")
     _leaf(p, cmd_game_score)
     p = game_sub.add_parser("classical", help="best classical score of a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--family", choices=_FAMILIES, default="identity_only")
-    _leaf(p, cmd_game_classical)
+    p.add_argument("--family", choices=FAMILY_KINDS, default="identity_only")
+    _leaf(p, cmd_game_classical, tol=1e-9)
 
     dis_p = sub.add_parser("discrim", help="subchannel discrimination with side information")
     dis_sub = dis_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
@@ -562,18 +507,18 @@ def build_parser():
     p.add_argument("--instrument", required=True)
     p.add_argument("--fictitious", type=_positive_int, default=10_000, help="padding branch count (default 10000)")
     p.add_argument("--save", required=True)
-    _leaf(p, cmd_discrim_build_from_dual)
+    _leaf(p, cmd_discrim_build_from_dual, tol=1e-8)
     p = dis_sub.add_parser("psucc", help="guessing probability with an instrument")
     p.add_argument("--e", required=True, help="discrimination instrument file")
     p.add_argument("--instrument", required=True)
     _leaf(p, cmd_discrim_psucc)
     p = dis_sub.add_parser("classical", help="classical benchmarks (ensemble SDP and product form)")
     p.add_argument("--e", required=True)
-    _leaf(p, cmd_discrim_classical)
+    _leaf(p, cmd_discrim_classical, tol=1e-9)
     p = dis_sub.add_parser("ratio", help="quantum-over-classical advantage")
     p.add_argument("--e", required=True)
     p.add_argument("--instrument", required=True)
-    _leaf(p, cmd_discrim_ratio)
+    _leaf(p, cmd_discrim_ratio, tol=1e-9)
 
     sim_p = sub.add_parser("sim", help="simulation recipes and monotone checks")
     sim_sub = sim_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
@@ -587,45 +532,42 @@ def build_parser():
     p.add_argument("--classical", type=int, default=50, help="classical recipes to try")
     p.add_argument("--quantum", type=int, default=20, help="quantum recipes to try")
     p.add_argument("--mixtures", type=int, default=20, help="convex mixtures to try")
-    _leaf(p, cmd_sim_check)
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled recipes (default 0)")
+    _leaf(p, cmd_sim_check, tol=1e-6)
 
     p = sub.add_parser("fidelity", help="average teleportation fidelity over probe states")
     p.add_argument("--instrument", required=True)
     p.add_argument("--inputs", help="probe ensemble file (default: six Pauli eigenstates)")
-    p.add_argument("--family", choices=_FAMILIES, default="pauli_group")
+    p.add_argument("--family", choices=FAMILY_KINDS, default="pauli_group")
     _leaf(p, cmd_fidelity)
 
     p = sub.add_parser("sweep", help="CSV table over a parameter grid")
     p.add_argument("--config", required=True, help="grid configuration file")
-    _leaf(p, cmd_sweep)
+    _leaf(p, cmd_sweep, tol=1e-8, record=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.loaded = {}
     started = time.perf_counter()
     try:
         record = args.handler(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except NumericalError as exc:
+    except NumericalError as exc:  # a ValueError, so caught before the input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if record is not None:
+        record.command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        record.inputs = args.loaded
         record.wall_time = time.perf_counter() - started
-        _emit(record, args)
+        _write(_record_csv(record) if args.format == "csv" else record_dumps(record), args.out)
     return EXIT_OK
 
 

@@ -166,8 +166,10 @@ class SdpProblem:
 
         ``terms`` is a list of (block_index, map) pairs where map is either
         a real scalar (meaning scalar * X) or a callable applying a
-        Hermitian-preserving linear map.  Repeated block indices are
-        accumulated.  Row r is the r-th svec coordinate of both sides.
+        Hermitian-preserving linear map matrix-wise to a stack (m, n, n);
+        it is called once, on the svec basis of its block.  Repeated block
+        indices are accumulated.  Row r is the r-th svec coordinate of
+        both sides.
         """
         target = hermitize(target)
         nt = target.shape[0]
@@ -176,7 +178,7 @@ class SdpProblem:
             k = int(k)
             nk = self.blocks[k].size
             if callable(f):
-                a = svec_stack(hermitize(np.stack([f(e) for e in _basis(nk)]))).T
+                a = svec_stack(hermitize(f(_basis(nk)))).T
             else:
                 a = float(f) * np.eye(nk * nk)
             if a.shape[0] != nt * nt:
@@ -599,10 +601,13 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
 
 
 def solve_checked(problem: SdpProblem, tol=1e-8, max_iter=200, what="SDP"):
-    """Solve and insist on optimality, raising :class:`SolverError` otherwise.
+    """Solve, insist on optimality, and return only a verified solution.
 
-    The exception message carries the status, residuals and gap so a
-    failed solve can be diagnosed from the traceback alone.
+    A status other than "optimal" raises :class:`SolverError` with the
+    status, residuals and gap, so a failed solve can be diagnosed from
+    the traceback alone.  An optimal solution must then pass
+    :func:`verify_certificate` at max(50 * tol, 1e-9); otherwise the
+    :class:`SolverError` names every check above that threshold.
     """
     sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
@@ -612,6 +617,9 @@ def solve_checked(problem: SdpProblem, tol=1e-8, max_iter=200, what="SDP"):
             f"dual_residual={sol.dual_residual:.3e}, iterations={sol.iterations}): "
             f"{sol.message}"
         )
+    report = verify_certificate(problem, sol, tol=max(50.0 * tol, 1e-9))
+    if not report.ok:
+        raise SolverError(f"{what} certificate failed verification: {'; '.join(report.messages)}")
     return sol
 
 

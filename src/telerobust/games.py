@@ -15,7 +15,7 @@ PPT no-signalling Choi families once the corrections are fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .qobjects import (
 from .rot import RotDualSolution, classical_max
 
 __all__ = [
+    "FAMILY_KINDS",
     "CorrelationGame",
     "UnitaryFamily",
     "game_score",
@@ -51,7 +52,7 @@ __all__ = [
     "average_fidelity",
 ]
 
-_FAMILY_KINDS = ("identity_only", "pauli_group", "seesaw_polished")
+FAMILY_KINDS = ("identity_only", "pauli_group", "seesaw_polished")
 
 
 @dataclass
@@ -70,7 +71,7 @@ class UnitaryFamily:
     iterations: int = 20
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown unitary family kind {self.kind!r}")
         self.iterations = int(self.iterations)
         if self.iterations < 1:
@@ -95,7 +96,6 @@ class CorrelationGame:
     input_state: DensityMatrix
     targets: list
     scores: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if len(self.input_state.dims) != 2:
@@ -113,12 +113,11 @@ class CorrelationGame:
         ((rows, cols),) = shapes
         if rows != cols or rows % d_spec != 0:
             raise ValueError("targets must be square on spectator (x) output")
-        if self.validate:
-            if np.any(self.scores < 0):
-                raise ValueError("payoffs must be non-negative")
-            for b, t in enumerate(self.targets):
-                if not is_hermitian(t) or min_eig(t) < -PSD_TOL:
-                    raise ValueError(f"target {b} is not PSD within tolerance")
+        if np.any(self.scores < 0):
+            raise ValueError("payoffs must be non-negative")
+        for b, t in enumerate(self.targets):
+            if not is_hermitian(t) or min_eig(t) < -PSD_TOL:
+                raise ValueError(f"target {b} is not PSD within tolerance")
 
     @property
     def spectator_dim(self):

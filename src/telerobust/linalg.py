@@ -99,26 +99,34 @@ def _reshape_multi(x, dims):
 
 
 def partial_trace(x, dims, keep):
-    """Trace out all tensor factors not listed in ``keep``.
+    """Trace out all tensor factors not listed in ``keep``, matrix-wise on a stack.
 
     Parameters
     ----------
-    x : array, square matrix on the composite system prod(dims).
+    x : array, square matrix on the composite system prod(dims), or a
+        stack (m, n, n) of them.
     dims : sequence of factor dimensions.
     keep : iterable of factor indices (0-based) that survive, in their
         original order.
     """
-    t, dims = _reshape_multi(x, dims)
+    dims = tuple(int(d) for d in dims)
+    n = int(np.prod(dims))
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (n, n):
+        raise ValueError(f"operator shape {x.shape} incompatible with dims {dims}")
     keep = sorted(set(int(k) for k in keep))
     k = len(dims)
     if any(i < 0 or i >= k for i in keep):
         raise ValueError(f"keep indices {keep} out of range for {k} factors")
-    # einsum: tie the row index of each traced factor to its column index
+    # einsum: tie the row index of each traced factor to its column index;
+    # a stack's leading axis gets the otherwise unused label 2k
+    lead = [2 * k] * (x.ndim - 2)
     row = list(range(k))
     col = [i if i not in keep else k + i for i in range(k)]
-    out = np.einsum(t, row + col, [row[i] for i in keep] + [col[i] for i in keep])
+    t = x.reshape(x.shape[:-2] + dims + dims)
+    out = np.einsum(t, lead + row + col, lead + [row[i] for i in keep] + [col[i] for i in keep])
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return out.reshape(d_keep, d_keep)
+    return out.reshape(x.shape[:-2] + (d_keep, d_keep))
 
 
 def permute_systems(x, dims, perm):

@@ -88,7 +88,6 @@ class Povm:
 
     elements: list
     dims: tuple
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
@@ -97,12 +96,11 @@ class Povm:
         for e in self.elements:
             if e.shape != (n, n):
                 raise ValueError("POVM element has wrong shape")
-        if self.validate:
-            for i, e in enumerate(self.elements):
-                if not is_hermitian(e) or min_eig(e) < -PSD_TOL:
-                    raise ValueError(f"POVM element {i} is not PSD within tolerance")
-            if frobenius_norm(sum(self.elements) - np.eye(n)) > PSD_TOL * n:
-                raise ValueError("POVM elements do not sum to identity")
+        for i, e in enumerate(self.elements):
+            if not is_hermitian(e) or min_eig(e) < -PSD_TOL:
+                raise ValueError(f"POVM element {i} is not PSD within tolerance")
+        if frobenius_norm(sum(self.elements) - np.eye(n)) > PSD_TOL * n:
+            raise ValueError("POVM elements do not sum to identity")
 
     def __len__(self):
         return len(self.elements)
@@ -179,15 +177,13 @@ class InputEnsemble:
 
     states: list
     weights: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.validate:
-            if len(self.states) != self.weights.size:
-                raise ValueError("weights and states differ in length")
-            if np.any(self.weights < -1e-12) or abs(self.weights.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must form a probability distribution")
+        if len(self.states) != self.weights.size:
+            raise ValueError("weights and states differ in length")
+        if np.any(self.weights < -1e-12) or abs(self.weights.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must form a probability distribution")
 
     @property
     def tomographically_complete(self):
@@ -299,7 +295,7 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     instruments (nearest in trace norm); worse data is returned raw with
     its diagnostic residual, wrapped without validation.
     """
-    from .conic import SdpProblem, solve_checked, svec, smat_stack
+    from .conic import SdpProblem, smat_stack, solve_checked, svec, svec_stack
 
     if not inputs.tomographically_complete:
         raise ValueError("probe set is not tomographically complete")
@@ -311,11 +307,7 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     design = []
     for omega in inputs.states:
         block = tensor(omega.matrix.T, np.eye(d_b))
-        rows = [
-            svec(hermitize(d_v * partial_trace(block @ e, (d_v, d_b), keep=(1,))))
-            for e in basis
-        ]
-        design.append(np.stack(rows, axis=1))
+        design.append(svec_stack(hermitize(d_v * partial_trace(block @ basis, (d_v, d_b), keep=(1,)))).T)
     design = np.concatenate(design, axis=0)
 
     fitted = []

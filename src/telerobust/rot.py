@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec, verify_certificate
+from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec
 from .linalg import (
     clip_psd,
     hermitize,
@@ -122,19 +122,6 @@ class RotCertificates:
         return abs(self.primal.value - self.dual.value)
 
 
-def _solve_verified(prob, tol, what):
-    """Solve, then accept the solution only if ``verify_certificate`` passes.
-
-    The check runs at max(50 * tol, 1e-9); a failure raises
-    :class:`SolverError` naming every check above that threshold.
-    """
-    sol = solve_checked(prob, tol=tol, what=what)
-    report = verify_certificate(prob, sol, tol=max(50.0 * tol, 1e-9))
-    if not report.ok:
-        raise SolverError(f"{what} certificate failed verification: {'; '.join(report.messages)}")
-    return sol
-
-
 def rot_primal_problem(instr: TeleportationInstrument):
     """Conic program behind :func:`rot_primal`.
 
@@ -173,7 +160,7 @@ def rot_primal(instr: TeleportationInstrument, tol=1e-8) -> RotPrimalSolution:
     constraint before the value is trusted.
     """
     prob, fs, tau = rot_primal_problem(instr)
-    sol = _solve_verified(prob, tol, "teleportation robustness primal")
+    sol = solve_checked(prob, tol=tol, what="teleportation robustness primal")
     f_ops = [hermitize(sol.primal_blocks[f]) for f in fs]
     tau_op = hermitize(sol.primal_blocks[tau])
     value = float(np.trace(tau_op).real) - 1.0
@@ -226,7 +213,7 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     js = instr.mats
     prob, a_blocks, b_block, p_blocks, q_blocks = rot_dual_problem(instr)
 
-    sol = _solve_verified(prob, tol, "teleportation robustness dual")
+    sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
     a_ops = [hermitize(sol.primal_blocks[a]) for a in a_blocks]
     b_op = hermitize(sol.primal_blocks[b_block])
     pairs = [

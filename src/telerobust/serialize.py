@@ -489,9 +489,13 @@ def solution_from_payload(obj, path="certificate"):
 
 @dataclass
 class ResultRecord:
-    """What a command computed, with enough context to re-check it."""
+    """What a command computed, with enough context to re-check it.
 
-    command: str
+    ``command`` is the command path (``"rot compute"``) and ``inputs``
+    maps each input flag to its file's digest; the CLI fills both in.
+    """
+
+    command: str = ""
     inputs: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)

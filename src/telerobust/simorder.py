@@ -14,7 +14,7 @@ never a failed search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,12 +78,9 @@ class ClassicalSimulation:
     """Stochastic relabelling p(b|a); column a holds the distribution of b."""
 
     kernel: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=float)
-        if self.validate:
-            self.kernel = _check_kernel(self.kernel, "simulation kernel")
+        self.kernel = _check_kernel(self.kernel, "simulation kernel")
 
     @property
     def in_outcomes(self):
@@ -125,27 +122,25 @@ class QuantumSimulation:
     kernels: list
     pre: list
     post: list
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.branch_probs = np.asarray(self.branch_probs, dtype=float)
-        if self.validate:
-            p = self.branch_probs
-            if p.ndim != 1 or np.any(p < -_KERNEL_TOL) or abs(p.sum() - 1.0) > _KERNEL_TOL:
-                raise ValueError("branch probabilities must form a distribution")
-            n = p.size
-            if not (len(self.kernels) == len(self.pre) == len(self.post) == n):
-                raise ValueError("branch count mismatch across probabilities, kernels, channels")
-            self.kernels = [_check_kernel(k, f"branch {i} kernel") for i, k in enumerate(self.kernels)]
-            shapes = {k.shape for k in self.kernels}
-            if len(shapes) != 1:
-                raise ValueError("branch kernels differ in shape")
-            for name, ops in (("pre", self.pre), ("post", self.post)):
-                dims = {(o.in_dim, o.out_dim) for o in ops}
-                if len(dims) != 1:
-                    raise ValueError(f"{name}-channels differ in dimensions")
-                for i, o in enumerate(ops):
-                    _check_channel(o, f"branch {i} {name}-channel")
+        p = self.branch_probs
+        if p.ndim != 1 or np.any(p < -_KERNEL_TOL) or abs(p.sum() - 1.0) > _KERNEL_TOL:
+            raise ValueError("branch probabilities must form a distribution")
+        n = p.size
+        if not (len(self.kernels) == len(self.pre) == len(self.post) == n):
+            raise ValueError("branch count mismatch across probabilities, kernels, channels")
+        self.kernels = [_check_kernel(k, f"branch {i} kernel") for i, k in enumerate(self.kernels)]
+        shapes = {k.shape for k in self.kernels}
+        if len(shapes) != 1:
+            raise ValueError("branch kernels differ in shape")
+        for name, ops in (("pre", self.pre), ("post", self.post)):
+            dims = {(o.in_dim, o.out_dim) for o in ops}
+            if len(dims) != 1:
+                raise ValueError(f"{name}-channels differ in dimensions")
+            for i, o in enumerate(ops):
+                _check_channel(o, f"branch {i} {name}-channel")
 
     @classmethod
     def trivial(cls, n_outcomes, d_v, d_b):

@@ -1,5 +1,7 @@
 """End-to-end command-line tests: every subcommand, exit codes, sweeps."""
 
+import argparse
+import inspect
 import json
 import re
 
@@ -9,6 +11,7 @@ import pytest
 from telerobust import cli
 from telerobust.conic import SolverError, verify_certificate
 from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
+from telerobust.games import build_game_from_dual
 from telerobust.linalg import hermitize
 from telerobust.qobjects import (
     bell_povm,
@@ -23,6 +26,7 @@ from telerobust.rot import rot_dual, rot_dual_problem, rot_primal_problem
 from telerobust.serialize import (
     FileFormatError,
     TomographyData,
+    file_digest,
     load_experiment,
     record_loads,
     save_experiment,
@@ -51,6 +55,24 @@ def files(tmp_path_factory):
     save_experiment(paths["iso07"], {"instrument": iso07})
     task40, _ = build_discrimination_from_dual(rot_dual(iso07), fictitious=40)
     save_experiment(paths["task40"], {"task": task40})
+    return paths
+
+
+@pytest.fixture(scope="module")
+def more_files(files, tmp_path_factory):
+    """The inputs of the commands that read a POVM, a state, tomography
+    data, a game or a simulation recipe, next to the standard files."""
+    root = tmp_path_factory.mktemp("clifiles_more")
+    paths = dict(files)
+    for name in ("povm", "state", "tomo", "game", "merge"):
+        paths[name] = root / f"{name}.json"
+    ideal = ideal_instrument(2)
+    save_experiment(paths["povm"], {"m": bell_povm(2)})
+    save_experiment(paths["state"], {"s": isotropic_state(0.7)})
+    tomo = [[choi_apply(j, 2, 2, w.matrix) for w in pauli_six().states] for j in ideal.mats]
+    save_experiment(paths["tomo"], {"data": TomographyData(tomo)})
+    save_experiment(paths["game"], {"game": build_game_from_dual(rot_dual(ideal))})
+    save_experiment(paths["merge"], {"recipe": ClassicalSimulation.merge_all(4)})
     return paths
 
 
@@ -187,6 +209,138 @@ class TestExitCodes:
         code = cli.main(["discrim", "ratio", "--e", str(bad), "--instrument", str(files["iso07"])])
         assert code == 3
         assert re.search(path, capsys.readouterr().err)
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for every command the CLI accepts."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def _flags(parser):
+    """Option string -> action, for every flag but --help."""
+    return {a.option_strings[0]: a for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+LEAVES = dict(_leaves(cli.build_parser()))
+
+# The commands that pass --tol to a solve or a fit, with their defaults.
+TOL_DEFAULTS = {
+    "rot compute": 1e-8,
+    "rot dual": 1e-8,
+    "instrument fit": 1e-4,
+    "game build-from-dual": 1e-8,
+    "game classical": 1e-9,
+    "discrim build-from-dual": 1e-8,
+    "discrim classical": 1e-9,
+    "discrim ratio": 1e-9,
+    "sim check": 1e-6,
+    "sweep": 1e-8,
+}
+
+
+class TestFlags:
+    """Each command accepts only the flags it reads."""
+
+    def test_seventeen_commands_accept_eighty_three_flags(self):
+        assert len(LEAVES) == 17
+        assert sum(len(_flags(p)) for p in LEAVES.values()) == 83
+
+    @pytest.mark.parametrize("command", sorted(LEAVES))
+    def test_seed_only_on_sim_check(self, command):
+        assert ("--seed" in _flags(LEAVES[command])) == (command == "sim check")
+
+    @pytest.mark.parametrize("command", sorted(LEAVES))
+    def test_tol_only_on_solver_and_fit_commands_with_its_default(self, command):
+        parser = LEAVES[command]
+        tol = _flags(parser).get("--tol")
+        if command not in TOL_DEFAULTS:
+            assert tol is None
+            return
+        assert tol is not None and tol.default == TOL_DEFAULTS[command]
+        assert f"(default {TOL_DEFAULTS[command]:g})" in parser.format_help()
+
+    @pytest.mark.parametrize("command", sorted(LEAVES))
+    def test_format_on_every_record_command_and_not_on_sweep(self, command):
+        assert ("--format" in _flags(LEAVES[command])) == (command != "sweep")
+
+    @pytest.mark.parametrize("command", sorted(LEAVES))
+    def test_every_flag_is_read(self, command):
+        """Each flag is read by the handler (``args.<dest>`` or
+        ``_pick(args, "<dest>", ...)``) or by ``main`` (``--out`` and
+        ``--format``)."""
+        parser = LEAVES[command]
+        source = inspect.getsource(parser.get_default("handler"))
+        read = set(re.findall(r"args\.(\w+)", source)) | set(re.findall(r'_pick\(args, "(\w+)"', source))
+        read |= {"out", "format"}
+        unread = [flag for flag, action in _flags(parser).items() if action.dest not in read]
+        assert unread == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rot", "compute", "--instrument", "x.json", "--seed", "7"],
+            ["instrument", "ideal", "--save", "x.json", "--tol", "1"],
+            ["sweep", "--config", "x.json", "--format", "json"],
+        ],
+        ids=["seed_on_rot_compute", "tol_on_instrument_ideal", "format_on_sweep"],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (command, flags with "@key" for a file of ``more_files`` and "@save" for
+# the output file, the inputs the record names as {flag: file key})
+RECORD_CASES = [
+    ("rot compute", ["--instrument", "@ideal2"], {"instrument": "ideal2"}),
+    ("rot dual", ["--instrument", "@ideal2"], {"instrument": "ideal2"}),
+    ("instrument build", ["--measurement", "@povm", "--state", "@state", "--save", "@save"],
+     {"measurement": "povm", "state": "state"}),
+    ("instrument fit", ["--inputs", "@pauli6", "--data", "@tomo", "--save", "@save"],
+     {"inputs": "pauli6", "data": "tomo"}),
+    ("instrument ideal", ["--d", "2", "--save", "@save"], {}),
+    ("instrument realize", ["--instrument", "@ideal2", "--save", "@save"], {"instrument": "ideal2"}),
+    ("game build-from-dual", ["--instrument", "@ideal2", "--save", "@save"], {"instrument": "ideal2"}),
+    ("game score", ["--game", "@game", "--instrument", "@ideal2"], {"game": "game", "instrument": "ideal2"}),
+    ("game classical", ["--game", "@game"], {"game": "game"}),
+    ("discrim build-from-dual", ["--instrument", "@iso07", "--fictitious", "40", "--save", "@save"],
+     {"instrument": "iso07"}),
+    ("discrim psucc", ["--e", "@task40", "--instrument", "@iso07"], {"e": "task40", "instrument": "iso07"}),
+    ("discrim classical", ["--e", "@twirl"], {"e": "twirl"}),
+    ("discrim ratio", ["--e", "@task40", "--instrument", "@iso07"], {"e": "task40", "instrument": "iso07"}),
+    ("sim apply", ["--instrument", "@ideal2", "--sim", "@merge", "--save", "@save"],
+     {"instrument": "ideal2", "sim": "merge"}),
+    ("sim check", ["--instrument", "@ideal2", "--classical", "1", "--quantum", "1", "--mixtures", "1"],
+     {"instrument": "ideal2"}),
+    ("fidelity", ["--instrument", "@ideal2"], {"instrument": "ideal2"}),
+    ("fidelity", ["--instrument", "@ideal2", "--inputs", "@pauli6"], {"instrument": "ideal2", "inputs": "pauli6"}),
+]
+
+
+class TestRecordProvenance:
+    """``main`` names the command and digests exactly the files it loaded."""
+
+    def test_every_record_command_is_covered(self):
+        assert {command for command, _, _ in RECORD_CASES} == set(LEAVES) - {"sweep"}
+
+    @pytest.mark.parametrize(
+        "command, flags, inputs", RECORD_CASES,
+        ids=[c + ("+inputs" if c == "fidelity" and "--inputs" in f else "") for c, f, _ in RECORD_CASES],
+    )
+    def test_record_names_command_and_inputs(self, more_files, tmp_path, command, flags, inputs):
+        paths = {**more_files, "save": tmp_path / "saved.json"}
+        argv = command.split() + [str(paths[w[1:]]) if w.startswith("@") else w for w in flags]
+        code, rec = run_record(argv, tmp_path)
+        assert code == 0
+        assert rec.command == command
+        assert rec.inputs == {flag: file_digest(more_files[key]) for flag, key in inputs.items()}
 
 
 class TestRotCompute:

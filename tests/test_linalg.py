@@ -117,6 +117,19 @@ def test_partial_transpose_of_a_stack_is_matrix_wise(subsystem):
         partial_transpose(stack[:, :4, :4], (2, 3), subsystem)
 
 
+@pytest.mark.parametrize("keep", [(0,), (1,)])
+def test_partial_trace_of_a_stack_is_matrix_wise(keep):
+    rng = np.random.default_rng(16)
+    stack = np.stack([_rand_herm(rng, 6) + 1j * _rand_psd(rng, 6) for _ in range(5)])
+    got = partial_trace(stack, (2, 3), keep)
+    d = (2, 3)[keep[0]]
+    assert got.shape == (5, d, d)
+    for x, y in zip(stack, got):
+        np.testing.assert_array_equal(y, partial_trace(x, (2, 3), keep))
+    with pytest.raises(ValueError, match="incompatible"):
+        partial_trace(stack[:, :4, :4], (2, 3), keep)
+
+
 def test_entangled_state_fails_ppt_product_state_passes():
     phi = max_entangled(2)
     assert min_eig(partial_transpose(phi, (2, 2), 1)) < -0.4

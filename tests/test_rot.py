@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from telerobust import rot as rot_module
+from telerobust import conic as conic_module
 from telerobust.conic import SolverError, smat, svec, verify_certificate
 from telerobust.linalg import (
     dagger,
@@ -29,6 +29,7 @@ from telerobust.rot import (
     RotDualSolution,
     RotPrimalSolution,
     _seesaw_over_povm,
+    classical_max,
     robustness_of_entanglement,
     rot,
     rot_certified,
@@ -146,10 +147,11 @@ def test_bell_isotropic_closed_form(d, p):
 
 
 class TestSolveIsVerified:
-    """A dual solve is accepted only once ``verify_certificate`` passes.
+    """A solve is accepted only once ``verify_certificate`` passes.
 
     The solver's output is tampered through a monkeypatched
-    ``rot.solve_checked``, and each tampering breaks one condition of the
+    ``conic.solve``, so ``conic.solve_checked`` runs its check on the
+    tampered solution.  Each tampering breaks one condition of the
     witness program or of the cover read off its multipliers.  The dual
     program of a d = 2 isotropic instrument has blocks A_a (0-3), B (4),
     P_a (5-8) and Q_a (9-12); rows 16a .. 16a + 15 hold
@@ -162,14 +164,14 @@ class TestSolveIsVerified:
 
     @staticmethod
     def _install(monkeypatch, edit):
-        real = rot_module.solve_checked
+        real = conic_module.solve
 
         def tampered(prob, **kwargs):
             sol = real(prob, **kwargs)
             edit(sol)
             return sol
 
-        monkeypatch.setattr(rot_module, "solve_checked", tampered)
+        monkeypatch.setattr(conic_module, "solve", tampered)
 
     def _fails(self, monkeypatch, edit, check, solve=rot_dual):
         self._install(monkeypatch, edit)
@@ -238,6 +240,17 @@ class TestSolveIsVerified:
             y[64:] += svec(self._below_zero(cap) * np.eye(2))
 
         self._fails(monkeypatch, edit, "dual_slack_block4", solve=rot_certified)
+
+    def test_classical_benchmark_state_off_trace_one(self, monkeypatch):
+        """The classical-family program is checked too: a tau with trace
+        1 + 4 * SHIFT fails its trace row (row 16, after the 16 rows of
+        sum_x F_x = (1/d_V) 1 (x) tau)."""
+        payoffs = [np.eye(4) / 4.0, None]
+
+        def edit(sol):
+            sol.primal_blocks[2] = sol.primal_blocks[2] + 2.0 * self.SHIFT * np.eye(2)
+
+        self._fails(monkeypatch, edit, "row16", solve=lambda _: classical_max(payoffs, (2, 2)))
 
 
 class TestOracleValues:
