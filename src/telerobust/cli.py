@@ -24,6 +24,7 @@ square root).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -444,6 +445,7 @@ def _leaf(p, handler, tol=None, record=True):
     p.set_defaults(handler=handler)
 
 
+@functools.cache  # built once per process; each parse_args call starts a fresh namespace
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="telerobust",

@@ -16,21 +16,25 @@ Internally everything is mapped to the real symmetric vectorization
 Nesterov-Todd scaling.  Rows are stored only as svec rows, read by both
 the solver and the certificate checker.  The compiled standard form
 keeps, for each block, only its row support: the rows on which the block
-has a nonzero coefficient.  The Schur complement is assembled block by
-block on those rows (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997),
-and blocks of equal size are stacked so that eigendecompositions,
-scaling and step lengths run as one batched call per size.  What remains
-per iteration is the dense Cholesky factorization of the m x m Schur matrix.
+has a nonzero coefficient.  Blocks with the same support share it, and
+the Schur complement is assembled once per distinct support, in the
+per-block sparsity style of Fujisawa, Kojima & Nakata (Math. Prog. 79,
+1997): one Gram product of the sharing blocks' scaled rows, added into
+that support's rows and columns, through a slice when they are one
+contiguous range.  Blocks of equal size are stacked so that
+eigendecompositions, scaling and step lengths run as one batched call per
+size.  What remains per iteration is the dense Cholesky factorization of
+the m x m Schur matrix.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
-about 0.03 s (68 rows) at d = 2 and 0.4-0.55 s (738 rows) at d = 3, and
-that one solve gives the robustness with both certificates
+about 0.015-0.03 s (68 rows) at d = 2 and 0.27-0.34 s (738 rows) at
+d = 3, and that one solve gives the robustness with both certificates
 (``rot.rot_certified``).  The primal program, kept as an independent
-check, takes about 0.045 s (144 rows) and 1.1-1.25 s (1539 rows).
-Building the dual program takes 1.2-2 ms at d = 2 and 9-17 ms at d = 3,
-the primal 0.3-0.6 ms and 1.4-2.6 ms.  Re-checking either certificate
-runs no solver: 0.8-1.5 ms at d = 2 and 3-6 ms at d = 3.
+check, takes about 0.025-0.045 s (144 rows) and 1.05-1.15 s (1539 rows).
+Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
+the primal 0.4-0.7 ms and 2-3.7 ms.  Re-checking either certificate
+runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.
 """
 
 from __future__ import annotations
@@ -242,12 +246,26 @@ class _Group:
     C: np.ndarray
 
 
+@dataclass
+class _Support:
+    """One distinct row support R and the blocks whose coefficients touch exactly R.
+
+    ``index`` selects M[R, R]: a pair of slices when R is one contiguous
+    range, ``np.ix_(R, R)`` otherwise.  Each member is (group, block
+    position, slice of the group's ``coef`` rows).
+    """
+
+    index: tuple
+    members: list[tuple[int, int, slice]]
+
+
 class _Standard:
     """Compiled standard form: equality rows over PSD blocks only.
 
     Blocks of equal size form one :class:`_Group`, and iterates are held
     as one stack per group, so per-block work is one batched call per
-    size.  Each block keeps only the rows it has a nonzero coefficient on.
+    size.  Each block keeps only the rows it has a nonzero coefficient on,
+    and blocks with the same rows share one :class:`_Support`.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -319,6 +337,21 @@ class _Standard:
                 )
             )
 
+        supports: dict[bytes, _Support] = {}
+        for gi, g in enumerate(self.groups):
+            for b in range(len(g.idx)):
+                sel = slice(g.starts[b], g.starts[b + 1])
+                rows = g.rows[sel]
+                if not len(rows):
+                    continue
+                sup = supports.get(rows.tobytes())
+                if sup is None:
+                    span = slice(int(rows[0]), int(rows[-1]) + 1)
+                    index = (span, span) if np.all(np.diff(rows) == 1) else np.ix_(rows, rows)
+                    sup = supports[rows.tobytes()] = _Support(index, [])
+                sup.members.append((gi, b, sel))
+        self.supports = list(supports.values())
+
     def unstack(self, stacks):
         """Per-block list of matrices from one stack per group."""
         return [stacks[g][b] for g, b in self.where]
@@ -348,16 +381,15 @@ class _Standard:
         A block with row support R and coefficient rows A_R adds
         A_R P A_R^T into M[R, R] only, where P is the svec matrix of
         X -> W X W.  P = Ph Ph with Ph the symmetric svec matrix of
-        X -> wh X wh, so the term is the Gram matrix of A_R Ph.
+        X -> wh X wh, so the term is the Gram matrix of A_R Ph.  The
+        blocks sharing R are summed as one Gram matrix of
+        U_R = [A_R^1 Ph^1 | A_R^2 Ph^2 | ...], added into M[R, R] once.
         """
+        ph = [_congruence_svec(h) for h in wh]
         mmat = np.zeros((self.m, self.m))
-        for g, h in zip(self.groups, wh):
-            ph = _congruence_svec(h)
-            for b in range(len(g.idx)):
-                sel = slice(g.starts[b], g.starts[b + 1])
-                gk = g.coef[sel] @ ph[b]
-                rows = g.rows[sel]
-                mmat[np.ix_(rows, rows)] += gk @ gk.T
+        for sup in self.supports:
+            u = np.concatenate([self.groups[g].coef[sel] @ ph[g][b] for g, b, sel in sup.members], axis=1)
+            mmat[sup.index] += u @ u.T
         return mmat
 
 
@@ -432,6 +464,11 @@ def _max_step(z, dz):
     if lam >= -1e-16:
         return np.inf
     return -1.0 / lam
+
+
+def _step_length(zs, dzs, gamma=1.0):
+    """min(1, gamma * largest step keeping every stack of ``zs`` PSD along ``dzs``)."""
+    return min(1.0, gamma * min(_max_step(z, dz) for z, dz in zip(zs, dzs)))
 
 
 def _inner(xs, ys):
@@ -551,7 +588,10 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
         except np.linalg.LinAlgError:
             return finish("numerical_error", "scaling-point factorization failed", use_best=True)
 
-        v_eigs = [np.linalg.eigh(v) for v in V]
+        try:
+            v_eigs = [np.linalg.eigh(v) for v in V]
+        except np.linalg.LinAlgError:
+            return finish("numerical_error", "scaled-point eigendecomposition failed", use_best=True)
         vv = [v @ v for v in V]
         wrdw = [w @ r @ w for w, r in zip(W, Rd)]
 
@@ -574,25 +614,24 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
             dX = [hermitize(c - w @ ds @ w) for c, w, ds in zip(rc, W, dS)]
             return dX, dy, dS
 
-        # predictor
-        dXa, dya, dSa = direction([-t for t in vv])
-        ap = min(1.0, min(_max_step(x, d) for x, d in zip(X, dXa)))
-        ad = min(1.0, min(_max_step(s, d) for s, d in zip(S, dSa)))
-        mu_aff = _inner([x + ap * d for x, d in zip(X, dXa)], [s + ad * d for s, d in zip(S, dSa)]) / nu
-        sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
+        try:
+            # predictor
+            dXa, dya, dSa = direction([-t for t in vv])
+            ap, ad = _step_length(X, dXa), _step_length(S, dSa)
+            mu_aff = _inner([x + ap * d for x, d in zip(X, dXa)], [s + ad * d for s, d in zip(S, dSa)]) / nu
+            sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
-        # corrector
-        rv = []
-        for e, t, w_h, w_hi, dxa, dsa in zip(eyes, vv, Wh, Whi, dXa, dSa):
-            dxs = w_hi @ dxa @ w_hi
-            dss = w_h @ dsa @ w_h
-            cross = (dxs @ dss + dss @ dxs) / 2.0
-            rv.append(sigma * mu * e - t - cross)
-        dX, dy, dS = direction(rv)
-
-        gamma = 0.98
-        ap = min(1.0, gamma * min(_max_step(x, d) for x, d in zip(X, dX)))
-        ad = min(1.0, gamma * min(_max_step(s, d) for s, d in zip(S, dS)))
+            # corrector
+            rv = []
+            for e, t, w_h, w_hi, dxa, dsa in zip(eyes, vv, Wh, Whi, dXa, dSa):
+                dxs = w_hi @ dxa @ w_hi
+                dss = w_h @ dsa @ w_h
+                cross = (dxs @ dss + dss @ dxs) / 2.0
+                rv.append(sigma * mu * e - t - cross)
+            dX, dy, dS = direction(rv)
+            ap, ad = _step_length(X, dX, 0.98), _step_length(S, dS, 0.98)
+        except np.linalg.LinAlgError:
+            return finish("numerical_error", "step-length factorization failed", use_best=True)
         X = [hermitize(x + ap * d) for x, d in zip(X, dX)]
         S = [hermitize(s + ad * d) for s, d in zip(S, dS)]
         y = y + ad * dy
@@ -641,6 +680,16 @@ def _shape_mismatches(problem, solution):
     return out
 
 
+def _nonfinite_inputs(solution):
+    """Messages naming each part of a solution that holds NaN or an infinity."""
+    parts = [(f"primal block {k}", x) for k, x in enumerate(solution.primal_blocks)]
+    parts.append(("dual multipliers", solution.dual_multipliers))
+    for k, (p, q) in sorted(solution.ppt_pairs.items()):
+        parts += [(f"pair P of block {k}", p), (f"pair Q of block {k}", q)]
+    parts += [("primal_value", solution.primal_value), ("dual_value", solution.dual_value)]
+    return [f"{what}: not finite" for what, v in parts if not np.all(np.isfinite(v))]
+
+
 def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     """Independent feasibility and weak-duality check of a solution.
 
@@ -655,13 +704,17 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     message naming the block.  A solution whose block or multiplier
     counts, or block or pair shapes, do not match the problem fails one
     ``shape`` check, with a message giving the expected and actual sizes,
-    and is not checked further.
+    and is not checked further; one that holds NaN or an infinity in a
+    block, multiplier, pair or value fails one ``finite`` check the same
+    way.  Any other check whose value is NaN fails as well.
     """
     checks: dict[str, float] = {}
-    messages = _shape_mismatches(problem, solution)
+    name, messages = "shape", _shape_mismatches(problem, solution)
+    if not messages:
+        name, messages = "finite", _nonfinite_inputs(solution)
     if messages:
-        messages.append(f"violations above {tol:g}: {{'shape': inf}}")
-        return CertificateReport(ok=False, max_violation=np.inf, checks={"shape": np.inf}, messages=messages)
+        messages.append(f"violations above {tol:g}: {{{name!r}: inf}}")
+        return CertificateReport(ok=False, max_violation=np.inf, checks={name: np.inf}, messages=messages)
     X = solution.primal_blocks
     y = solution.dual_multipliers
 
@@ -732,9 +785,8 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
         checks["weak_duality"] = max(0.0, (sp - sd) / gap_scale)
     checks["gap"] = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
 
-    worst = max(checks.values())
-    ok = worst <= tol
-    if not ok:
-        bad = {k: v for k, v in checks.items() if v > tol}
+    worst = float(np.max(list(checks.values())))  # NaN if any check is NaN
+    bad = {k: v for k, v in checks.items() if not v <= tol}
+    if bad:
         messages.append(f"violations above {tol:g}: {bad}")
-    return CertificateReport(ok=ok, max_violation=float(worst), checks=checks, messages=messages)
+    return CertificateReport(ok=not bad, max_violation=worst, checks=checks, messages=messages)

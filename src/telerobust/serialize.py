@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,17 @@ def _expect(cond, path, message):
         raise FileFormatError(path, message)
 
 
+def _finite(arr, path):
+    """``arr``, checked for NaN and infinities, which ``json`` reads as floats.
+
+    The first non-finite entry is named by ``path`` and its index.
+    """
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise FileFormatError(path + "".join(f"[{i}]" for i in bad[0]), "expected a finite number")
+    return arr
+
+
 @dataclass
 class TomographyData:
     """Measured outputs, ``data[a][x]`` for outcome a on probe x."""
@@ -112,7 +124,7 @@ def _decode_grid(obj, path):
                 f"{path}[{i}][{j}]",
                 "expected a number",
             )
-    return np.asarray(obj, dtype=float)
+    return _finite(np.asarray(obj, dtype=float), path)
 
 
 def decode_matrix(obj, path):
@@ -150,7 +162,7 @@ def _decode_weights(obj, path, length=None):
         )
     if length is not None:
         _expect(len(obj) == length, path, f"expected {length} entries, got {len(obj)}")
-    return np.asarray(obj, dtype=float)
+    return _finite(np.asarray(obj, dtype=float), path)
 
 
 def _wrap(path, build):
@@ -458,11 +470,7 @@ def _decode_ppt_pairs(obj, path, blocks):
 def solution_from_payload(obj, path="certificate"):
     """Rebuild a solution for ``verify_certificate`` from its payload."""
     _expect(isinstance(obj, dict), path, "expected a certificate object")
-    blocks = [
-        decode_matrix(b, f"{path}.primal_blocks[{i}]")[0]
-        for i, b in enumerate(obj.get("primal_blocks", []))
-    ]
-    _expect(blocks, f"{path}.primal_blocks", "expected a non-empty list")
+    blocks = _matrix_list(obj, path, "primal_blocks")
     mults = _decode_weights(obj.get("dual_multipliers"), f"{path}.dual_multipliers")
     _expect(
         "ppt_pairs" in obj,
@@ -472,10 +480,11 @@ def solution_from_payload(obj, path="certificate"):
     )
     pairs = _decode_ppt_pairs(obj["ppt_pairs"], f"{path}.ppt_pairs", blocks)
     for key in ("primal_value", "dual_value"):
+        value = obj.get(key)
         _expect(
-            isinstance(obj.get(key), (int, float)) and not isinstance(obj.get(key), bool),
+            isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
             f"{path}.{key}",
-            "expected a number",
+            "expected a finite number",
         )
     return SdpSolution(
         status="optimal",

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from telerobust import cli
+from telerobust import cli, conic
 from telerobust.conic import SolverError, verify_certificate
 from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
 from telerobust.games import build_game_from_dual
@@ -148,6 +148,17 @@ class TestExitCodes:
         code = cli.main(["rot", "dual", "--instrument", str(files["ideal2"])])
         assert code == 4
         assert "solver exploded" in capsys.readouterr().err
+
+    def test_step_length_failure_exits_4(self, files, monkeypatch, capsys):
+        """A LinAlgError in the step length is a failed solve (4), not a file error (3)."""
+
+        def fail(z, dz):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(conic, "_max_step", fail)
+        code = cli.main(["rot", "compute", "--instrument", str(files["ideal2"])])
+        assert code == 4
+        assert "'numerical_error'" in capsys.readouterr().err
 
     def test_degenerate_benchmark_exits_5(self, files, monkeypatch, capsys):
         monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
@@ -409,6 +420,32 @@ class TestRotCompute:
         with pytest.raises(FileFormatError, match=r"^certificate\." + where):
             solution_from_payload(cert)
 
+    @pytest.mark.parametrize(
+        "key, tamper, where",
+        [
+            ("dual", lambda c: c.__setitem__("primal_value", float("nan")), r"primal_value: expected a finite"),
+            ("dual", lambda c: c.__setitem__("dual_value", float("-inf")), r"dual_value: expected a finite"),
+            ("dual", lambda c: c["dual_multipliers"].__setitem__(3, float("nan")),
+             r"dual_multipliers\[3\]: expected a finite"),
+            ("dual", lambda c: c["primal_blocks"][2]["re"][1].__setitem__(0, float("inf")),
+             r"primal_blocks\[2\]\.re\[1\]\[0\]: expected a finite"),
+            ("primal", lambda c: c["ppt_pairs"][1]["Q"]["im"][0].__setitem__(2, float("-inf")),
+             r"ppt_pairs\[1\]\.Q\.im\[0\]\[2\]: expected a finite"),
+            ("dual", lambda c: c.__setitem__("primal_blocks", None), r"primal_blocks: expected a non-empty list"),
+        ],
+        ids=["nan_primal_value", "minus_infinity_dual_value", "nan_multiplier", "infinite_block", "infinite_pair",
+             "null_primal_blocks"],
+    )
+    def test_non_finite_certificate_entries_name_the_path(self, files, tmp_path, key, tamper, where):
+        """NaN and Infinity, which JSON readers accept, and a null block list are refused with the path."""
+        code, rec = run_record(["rot", "compute", "--instrument", str(files["ideal2"])], tmp_path)
+        assert code == 0
+        cert = json.loads(json.dumps(rec.certificates[key]))
+        tamper(cert)
+        cert = json.loads(json.dumps(cert))  # as a file holding NaN or Infinity reads back
+        with pytest.raises(FileFormatError, match=r"^certificate\." + where):
+            solution_from_payload(cert)
+
     def test_dropped_pairs_fail_verification_naming_the_block(self, files, tmp_path):
         code, rec = run_record(["rot", "compute", "--instrument", str(files["ideal2"])], tmp_path)
         assert code == 0
@@ -436,6 +473,16 @@ class TestRotCompute:
         row = lines[1].split(",")
         assert head[0] == "robustness" and len(head) == len(row)
         assert abs(float(row[0]) - 1.0) <= 1e-5
+
+    def test_consecutive_calls_do_not_leak_flags(self, files, capsys):
+        """The parser is built once per process; a flag of one call does not reach the next."""
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["rot", "dual", "--instrument", str(files["ideal2"])]
+        assert cli.main([*argv, "--format", "csv", "--tol", "1e-7"]) == 0
+        assert capsys.readouterr().out.startswith("robustness_lower_bound")
+        assert cli.main(argv) == 0
+        rec = record_loads(capsys.readouterr().out)
+        assert abs(rec.values["robustness_lower_bound"] - 1.0) <= 1e-5
 
     def test_out_file_leaves_stdout_empty(self, files, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from telerobust import conic
 from telerobust.conic import (
     SdpProblem,
     SdpSolution,
@@ -115,6 +116,20 @@ def test_unbounded_detected():
     prob.set_objective({x: -np.diag([1.0, 0.0])}, sense="min")
     prob.add_constraint({x: np.diag([0.0, 1.0])}, "=", 1.0)
     assert solve(prob).status == "unbounded"
+
+
+def test_step_length_failure_is_a_numerical_error(monkeypatch):
+    """A factorization failing inside the step length ends the solve, it does not escape it."""
+
+    def fail(z, dz):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(conic, "_max_step", fail)
+    sol = solve(_min_trace_problem())
+    assert sol.status == "numerical_error"
+    assert sol.message == "step-length factorization failed"
+    with pytest.raises(SolverError, match="numerical_error"):
+        solve_checked(_min_trace_problem())
 
 
 def test_determinism():
@@ -298,6 +313,45 @@ def test_row_support_assembly_matches_dense_reference(seed):
         ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
     got = std.schur(_stacks(std, wh))
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _program(name):
+    d, route = {"d2_primal": (2, rot_primal_problem), "d3_dual": (3, rot_dual_problem)}[name]
+    return route(build_instrument(bell_povm(d), isotropic_state(0.7, d)))[0]
+
+
+@pytest.mark.parametrize("name", ["d2_primal", "d3_dual"])
+def test_schur_matches_dense_reference_on_robustness_programs(name):
+    """Per-support assembly against the dense sum over blocks, on the real programs.
+
+    The d = 2 primal has 5 supports that are not one contiguous range, so
+    it takes the ``np.ix_`` path.  The d = 3 dual has 28 blocks on 10
+    supports: each outcome's three blocks share its 81 rows, and the
+    normaliser covers all 738.
+    """
+    prob = _program(name)
+    std = _Standard(prob)
+    ab = _dense_rows(prob, std)
+    rng = np.random.default_rng(11)
+    wh = []
+    for n in std.sizes:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wh.append(g @ dagger(g) + np.eye(n))
+    ref = np.zeros((std.m, std.m))
+    for k, n in enumerate(std.sizes):
+        w = wh[k] @ wh[k]
+        ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
+    got = std.schur(_stacks(std, wh))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    scattered = [s for s in std.supports if not isinstance(s.index[0], slice)]
+    if name == "d2_primal":
+        assert len(scattered) == 5
+    else:
+        assert (std.m, len(std.sizes), len(std.supports), scattered) == (738, 28, 10, [])
+        assert sorted(len(s.members) for s in std.supports) == [1] + [3] * 9
+        assert any(s.index == (slice(0, 738),) * 2 for s in std.supports)
+    assert sum(len(s.members) for s in std.supports) == len(std.sizes)
 
 
 def test_stored_rows_compile_to_svec_rows():
@@ -557,3 +611,61 @@ class TestShapeCheck:
         assert self._shape_message(prob, sol) == [
             "pair (P, Q) of block 1 has shapes [(4, 4), (2, 2)], expected (4, 4)"
         ]
+
+
+class TestFiniteCheck:
+    """A certificate holding NaN or an infinity never passes, and never raises.
+
+    The certificate is the robustness dual of an isotropic d = 2
+    instrument.  Non-finite input fails one named ``finite`` check; a
+    non-finite check value from anywhere else fails that check.
+    """
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        return rot_dual_problem(instr)[0], rot_certified(instr).dual.solution
+
+    @staticmethod
+    def _finite_message(problem, solution):
+        rep = verify_certificate(problem, solution)
+        assert not rep.ok
+        assert rep.checks == {"finite": np.inf}
+        assert "'finite'" in rep.messages[-1]
+        return rep.messages[:-1]
+
+    def test_nan_primal_value(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.primal_value = np.nan
+        assert self._finite_message(prob, sol) == ["primal_value: not finite"]
+
+    def test_nan_multiplier(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.dual_multipliers[5] = np.nan
+        assert self._finite_message(prob, sol) == ["dual multipliers: not finite"]
+
+    def test_infinite_primal_block_entry(self, certificate):
+        prob, sol = copy.deepcopy(certificate)
+        sol.primal_blocks[3] = sol.primal_blocks[3].copy()
+        sol.primal_blocks[3][0, 1] = complex(0.0, np.inf)
+        assert self._finite_message(prob, sol) == ["primal block 3: not finite"]
+
+    def test_infinite_pair_entry(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+        prob, sol = rot_primal_problem(instr)[0], rot_certified(instr).primal.solution
+        p, q = sol.ppt_pairs[2]
+        q = q.copy()
+        q[1, 1] = -np.inf
+        sol.ppt_pairs[2] = (p, q)
+        assert self._finite_message(prob, sol) == ["pair Q of block 2: not finite"]
+
+    def test_nan_check_value_fails_that_check(self, certificate):
+        """A NaN right-hand side makes row 5's check NaN; it must not be skipped."""
+        prob, sol = copy.deepcopy(certificate)
+        coeffs, sense, _ = prob.constraints[5]
+        prob.constraints[5] = (coeffs, sense, np.nan)
+        rep = verify_certificate(prob, sol)
+        assert not rep.ok
+        assert np.isnan(rep.max_violation)
+        assert np.isnan(rep.checks["row5"])
+        assert "'row5': nan" in rep.messages[-1]
