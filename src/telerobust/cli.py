@@ -402,7 +402,7 @@ def cmd_sweep(args):
     ideal = ideal_instrument(2)
     game = build_game_from_dual(rot_dual(ideal, tol=args.tol))
     twirl = pauli_twirl_instrument(2)
-    denominator = classical_p_succ_ensemble(twirl)
+    denominator = checked_denominator(classical_p_succ_ensemble(twirl, tol=args.tol))
     probes = pauli_six()
     family = UnitaryFamily("pauli_group")
     bell = bell_povm(2)

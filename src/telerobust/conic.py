@@ -15,13 +15,14 @@ Internally everything is mapped to the real symmetric vectorization
 (svec) and solved with a Mehrotra predictor-corrector method using
 Nesterov-Todd scaling.  Rows are stored only as svec rows, read by both
 the solver and the certificate checker.  The compiled standard form
-keeps, for each block, only its row support: the rows on which the block
-has a nonzero coefficient.  Blocks with the same support share it, and
-the Schur complement is assembled once per distinct support, in the
-per-block sparsity style of Fujisawa, Kojima & Nakata (Math. Prog. 79,
-1997): one Gram product of the sharing blocks' scaled rows, added into
-that support's rows and columns, through a slice when they are one
-contiguous range.  Blocks of equal size are stacked so that
+holds each block's rows once, on its row support: the rows on which the
+block has a nonzero coefficient.  Blocks with the same support share it,
+and the supports are the one row index of all four row operations (A X,
+A^T y, the row norms and the Schur complement): one product per support,
+added through a slice when its rows are one contiguous range.  The Schur
+complement is assembled in the per-block sparsity style of Fujisawa,
+Kojima & Nakata (Math. Prog. 79, 1997), as one Gram product of the
+sharing blocks' scaled rows.  Blocks of equal size are stacked so that
 eigendecompositions, scaling and step lengths run as one batched call per
 size.  What remains per iteration is the dense Cholesky factorization of
 the m x m Schur matrix.
@@ -230,19 +231,10 @@ class CertificateReport:
 
 @dataclass
 class _Group:
-    """The blocks of one size, stacked, with each block's row support.
-
-    Block ``idx[b]`` has a nonzero coefficient on exactly the rows
-    ``rows[starts[b]:starts[b + 1]]``; ``coef`` holds those coefficients
-    as svec rows and ``owner`` the position ``b`` of each row's block.
-    """
+    """The blocks of one size, stacked: position ``b`` is block ``idx[b]``, with objective ``C[b]``."""
 
     n: int
     idx: np.ndarray
-    rows: np.ndarray
-    coef: np.ndarray
-    starts: np.ndarray
-    owner: np.ndarray
     C: np.ndarray
 
 
@@ -250,13 +242,33 @@ class _Group:
 class _Support:
     """One distinct row support R and the blocks whose coefficients touch exactly R.
 
-    ``index`` selects M[R, R]: a pair of slices when R is one contiguous
-    range, ``np.ix_(R, R)`` otherwise.  Each member is (group, block
-    position, slice of the group's ``coef`` rows).
+    ``rows`` selects R, ``index`` selects M[R, R] and ``cols`` the member
+    blocks' entries in the flat svec vector of all blocks, each a slice
+    where it runs without a gap.  ``coef`` holds the members' coefficient
+    rows on R side by side; each member is (group, block position, A_R),
+    with A_R its own columns of ``coef``.
     """
 
+    rows: slice | np.ndarray
     index: tuple
-    members: list[tuple[int, int, slice]]
+    coef: np.ndarray
+    cols: slice | np.ndarray
+    members: list[tuple[int, int, np.ndarray]]
+
+
+def _span(idx):
+    """A slice for increasing indices that run without a gap, else ``idx`` itself."""
+    return slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx
+
+
+def _support(r, found):
+    """The :class:`_Support` on rows ``r`` of the (group, position, A_R, cols) in ``found``."""
+    rows = _span(r)
+    index = (rows, rows) if isinstance(rows, slice) else np.ix_(r, r)
+    coef = np.concatenate([a for _, _, a, _ in found], axis=1)
+    ends = np.cumsum([a.shape[1] for _, _, a, _ in found])
+    members = [(g, b, coef[:, end - a.shape[1] : end]) for (g, b, a, _), end in zip(found, ends)]
+    return _Support(rows, index, coef, _span(np.concatenate([c for *_, c in found])), members)
 
 
 class _Standard:
@@ -264,8 +276,8 @@ class _Standard:
 
     Blocks of equal size form one :class:`_Group`, and iterates are held
     as one stack per group, so per-block work is one batched call per
-    size.  Each block keeps only the rows it has a nonzero coefficient on,
-    and blocks with the same rows share one :class:`_Support`.
+    size.  Each block's rows are held once, in the :class:`_Support` that
+    ``a_dot``, ``at_y``, ``row_norms`` and ``schur`` all read.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -311,46 +323,26 @@ class _Standard:
         sign = 1.0 if problem.sense == "min" else -1.0
         self.groups: list[_Group] = []
         self.where: list[tuple[int, int]] = [(0, 0)] * len(sizes)
+        self.ends: list[int] = []  # where each group's entries end in the flat svec vector of all blocks
+        found: dict[bytes, tuple] = {}  # row support -> (its rows, its members)
+        start = 0
         for n in dict.fromkeys(sizes):
             idx = np.array([k for k, nk in enumerate(sizes) if nk == n])
-            rows, coef, counts = [], [], []
             c_stack = np.zeros((len(idx), n, n), dtype=complex)
             for b, k in enumerate(idx):
                 self.where[k] = (len(self.groups), b)
+                if k in problem.objective:
+                    c_stack[b] = sign * problem.objective[k]
                 r = np.concatenate([c[0] for c in chunks[k]])
                 a = np.concatenate([c[1] for c in chunks[k]])
                 keep = np.any(a != 0.0, axis=1)
-                rows.append(r[keep])
-                coef.append(a[keep])
-                counts.append(int(keep.sum()))
-                if k in problem.objective:
-                    c_stack[b] = sign * problem.objective[k]
-            self.groups.append(
-                _Group(
-                    n=n,
-                    idx=idx,
-                    rows=np.concatenate(rows),
-                    coef=np.concatenate(coef),
-                    starts=np.concatenate([[0], np.cumsum(counts)]),
-                    owner=np.repeat(np.arange(len(idx)), counts),
-                    C=c_stack,
-                )
-            )
-
-        supports: dict[bytes, _Support] = {}
-        for gi, g in enumerate(self.groups):
-            for b in range(len(g.idx)):
-                sel = slice(g.starts[b], g.starts[b + 1])
-                rows = g.rows[sel]
-                if not len(rows):
-                    continue
-                sup = supports.get(rows.tobytes())
-                if sup is None:
-                    span = slice(int(rows[0]), int(rows[-1]) + 1)
-                    index = (span, span) if np.all(np.diff(rows) == 1) else np.ix_(rows, rows)
-                    sup = supports[rows.tobytes()] = _Support(index, [])
-                sup.members.append((gi, b, sel))
-        self.supports = list(supports.values())
+                if keep.any():
+                    member = (len(self.groups), b, a[keep], np.arange(start, start + n * n))
+                    found.setdefault(r[keep].tobytes(), (r[keep], []))[1].append(member)
+                start += n * n
+            self.ends.append(start)
+            self.groups.append(_Group(n=n, idx=idx, C=c_stack))
+        self.supports = [_support(r, members) for r, members in found.values()]
 
     def unstack(self, stacks):
         """Per-block list of matrices from one stack per group."""
@@ -358,22 +350,26 @@ class _Standard:
 
     def a_dot(self, xs):
         """Row values sum_k <A_ik, X_k> for one stack of blocks per group."""
+        flat = np.concatenate([svec_stack(x).ravel() for x in xs])
         out = np.zeros(self.m)
-        for g, x in zip(self.groups, xs):
-            vals = np.einsum("rq,rq->r", g.coef, svec_stack(x)[g.owner])
-            out += np.bincount(g.rows, weights=vals, minlength=self.m)
+        for sup in self.supports:
+            out[sup.rows] += sup.coef @ flat[sup.cols]
         return out
 
     def at_y(self, y):
         """Adjoint sum_i y_i A_ik, as one stack of blocks per group."""
-        out = []
-        for g in self.groups:
-            sums = np.zeros((len(g.idx), g.n * g.n))
-            filled = g.starts[1:] > g.starts[:-1]
-            if filled.any():
-                sums[filled] = np.add.reduceat(g.coef * y[g.rows, None], g.starts[:-1][filled])
-            out.append(smat_stack(sums, g.n))
-        return out
+        flat = np.zeros(self.ends[-1])
+        for sup in self.supports:
+            flat[sup.cols] = y[sup.rows] @ sup.coef
+        parts = np.split(flat, self.ends[:-1])
+        return [smat_stack(v.reshape(-1, g.n * g.n), g.n) for v, g in zip(parts, self.groups)]
+
+    def row_norms(self):
+        """Euclidean norm of each row over all blocks."""
+        sq = np.zeros(self.m)
+        for sup in self.supports:
+            sq[sup.rows] += (sup.coef**2).sum(axis=1)
+        return np.sqrt(sq)
 
     def schur(self, wh):
         """Schur matrix M_ij = <A_i, W A_j W>, with W = wh @ wh in each block.
@@ -388,7 +384,7 @@ class _Standard:
         ph = [_congruence_svec(h) for h in wh]
         mmat = np.zeros((self.m, self.m))
         for sup in self.supports:
-            u = np.concatenate([self.groups[g].coef[sel] @ ph[g][b] for g, b, sel in sup.members], axis=1)
+            u = np.concatenate([a @ ph[g][b] for g, b, a in sup.members], axis=1)
             mmat[sup.index] += u @ u.T
         return mmat
 
@@ -490,9 +486,7 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
     nu = sum(sizes)
     C = [g.C for g in std.groups]
 
-    row_norms = np.sqrt(
-        sum(np.bincount(g.rows, weights=(g.coef**2).sum(axis=1), minlength=m) for g in std.groups)
-    )
+    row_norms = std.row_norms()
     c_norm = _norm(C)
     xi = max(10.0, np.sqrt(max(sizes)), float(np.max((1.0 + np.abs(std.b)) / (1.0 + row_norms))))
     eta = max(10.0, np.sqrt(max(sizes)), 1.0 + c_norm)

@@ -402,7 +402,7 @@ def _seesaw_over_povm(rho, povm, rounds, tol, step_tol):
     return best_val, best_povm, history
 
 
-def rot_max_over_povm(rho: DensityMatrix, rounds=5, seed=0, tol=1e-10, restarts=3):
+def rot_max_over_povm(rho: DensityMatrix, rounds=5, seed=0, tol=1e-9, restarts=3):
     """Largest teleportation robustness any measurement extracts from rho.
 
     Alternates between re-fitting witnesses for the current measurement

@@ -537,6 +537,10 @@ class ResultRecord:
         for i, w in enumerate(warnings):
             _expect(isinstance(w, str), f"{path}.warnings[{i}]", "expected a string")
         _expect(type(wall_time) in (int, float), f"{path}.wall_time", "expected a number")
+        _expect(math.isfinite(wall_time), f"{path}.wall_time", "expected a finite number")
+        for key, value in obj["values"].items():
+            finite = not isinstance(value, float) or math.isfinite(value)
+            _expect(finite, f"{path}.values.{key}", "expected a finite number")
         return cls(
             command=obj["command"],
             inputs=dict(obj["inputs"]),

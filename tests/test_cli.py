@@ -859,6 +859,20 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_degenerate_benchmark_exits_5(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        cfg = self._config(tmp_path, start=0.8, stop=1.0, step=0.1)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 5
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_tol_reaches_the_benchmark(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: seen.append(tol) or 0.5)
+        cfg = self._config(tmp_path, start=0.9, stop=1.0, step=0.1)
+        argv = ["sweep", "--config", str(cfg), "--tol", "3e-7", "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 0
+        assert seen == [3e-7]
+
     def test_rejects_step_not_dividing_range(self, tmp_path, capsys):
         cfg = self._config(tmp_path, step=0.3)
         assert cli.main(["sweep", "--config", str(cfg)]) == 3

@@ -279,29 +279,16 @@ def _stacks(std, blocks):
     return [np.stack([blocks[k] for k in g.idx]) for g in std.groups]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_row_support_assembly_matches_dense_reference(seed):
-    """Row support, A X, A^T y and the Schur matrix against dense rows."""
-    rng = np.random.default_rng(seed)
-    prob = _mixed_problem(rng)
-    std = _Standard(prob)
-    ab = _dense_rows(prob, std)
-    assert len(std.slack_rows) == 2 and len(std.companion) == 1
-
-    # the support holds exactly the nonzero dense rows
-    for g in std.groups:
-        for b, k in enumerate(g.idx):
-            sel = slice(g.starts[b], g.starts[b + 1])
-            dense = np.zeros_like(ab[k])
-            dense[g.rows[sel]] = g.coef[sel]
-            np.testing.assert_array_equal(dense, ab[k])
-
+def _assert_row_operations_match(std, ab, rng):
+    """A X, A^T y, the row norms and the Schur matrix against dense rows ``ab``."""
     xs = [_rand_herm(rng, n) for n in std.sizes]
     ref = sum(ab[k] @ svec(xs[k]) for k in range(len(xs)))
     np.testing.assert_allclose(std.a_dot(_stacks(std, xs)), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     yv = rng.standard_normal(std.m)
     for k, got in enumerate(std.unstack(std.at_y(yv))):
         np.testing.assert_allclose(got, smat(ab[k].T @ yv, std.sizes[k]), rtol=0, atol=1e-12)
+    ref = np.sqrt(sum((a**2).sum(axis=1) for a in ab))
+    np.testing.assert_allclose(std.row_norms(), ref, rtol=1e-14, atol=0)
 
     wh = []
     for n in std.sizes:
@@ -313,6 +300,30 @@ def test_row_support_assembly_matches_dense_reference(seed):
         ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
     got = std.schur(_stacks(std, wh))
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_support_assembly_matches_dense_reference(seed):
+    """Row support, A X, A^T y, the row norms and the Schur matrix against dense rows."""
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng)
+    std = _Standard(prob)
+    ab = _dense_rows(prob, std)
+    assert len(std.slack_rows) == 2 and len(std.companion) == 1
+
+    # each block's stored rows are exactly its dense rows on its support
+    stored = set()
+    for sup in std.supports:
+        for g, b, a in sup.members:
+            k = int(std.groups[g].idx[b])
+            dense = np.zeros_like(ab[k])
+            dense[sup.rows] = a
+            np.testing.assert_array_equal(dense, ab[k])
+            stored.add(k)
+    for k in set(range(len(std.sizes))) - stored:
+        assert not ab[k].any()
+
+    _assert_row_operations_match(std, ab, rng)
 
 
 def _program(name):
@@ -322,27 +333,16 @@ def _program(name):
 
 @pytest.mark.parametrize("name", ["d2_primal", "d3_dual"])
 def test_schur_matches_dense_reference_on_robustness_programs(name):
-    """Per-support assembly against the dense sum over blocks, on the real programs.
+    """Per-support row operations against the dense rows, on the real programs.
 
     The d = 2 primal has 5 supports that are not one contiguous range, so
-    it takes the ``np.ix_`` path.  The d = 3 dual has 28 blocks on 10
-    supports: each outcome's three blocks share its 81 rows, and the
-    normaliser covers all 738.
+    it takes the index-array and ``np.ix_`` paths.  The d = 3 dual has 28
+    blocks on 10 supports: each outcome's three blocks share its 81 rows,
+    and the normaliser covers all 738.
     """
     prob = _program(name)
     std = _Standard(prob)
-    ab = _dense_rows(prob, std)
-    rng = np.random.default_rng(11)
-    wh = []
-    for n in std.sizes:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        wh.append(g @ dagger(g) + np.eye(n))
-    ref = np.zeros((std.m, std.m))
-    for k, n in enumerate(std.sizes):
-        w = wh[k] @ wh[k]
-        ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
-    got = std.schur(_stacks(std, wh))
-    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    _assert_row_operations_match(std, _dense_rows(prob, std), np.random.default_rng(11))
 
     scattered = [s for s in std.supports if not isinstance(s.index[0], slice)]
     if name == "d2_primal":
@@ -493,7 +493,10 @@ def test_d4_bell_isotropic_primal_compiles_within_footprint():
     std = _Standard(prob)
     assert std.m == 8448
     assert len(std.sizes) == 50
-    kept = sum(a.nbytes for g in std.groups for a in (g.rows, g.coef, g.starts, g.owner, g.C))
+    kept = sum(g.C.nbytes for g in std.groups)
+    for sup in std.supports:
+        kept += sum(a.nbytes for _, _, a in sup.members)
+        kept += sum(getattr(r, "nbytes", 0) for r in (sup.rows, *sup.index))
     assert kept < 100e6
 
 

@@ -21,6 +21,7 @@ from telerobust.qobjects import (
     bell_povm,
     build_instrument,
     ideal_instrument,
+    isotropic_state,
     rand_povm,
     rand_state,
     weyl_family,
@@ -374,6 +375,11 @@ class TestSeesaw:
         )
         value, _ = rot_max_over_povm(rho, rounds=2, seed=1, restarts=1)
         assert abs(value) <= 1e-6
+
+    def test_isotropic_qutrit_reaches_the_closed_form(self):
+        """T = d F - 1 with F = p + (1 - p) / d^2, from the default tolerance."""
+        value, _ = rot_max_over_povm(isotropic_state(0.8, 3), restarts=1)
+        assert abs(value - (3 * (0.8 + 0.2 / 9) - 1)) <= 1e-6
 
     def test_value_history_is_non_decreasing(self):
         rng = np.random.default_rng(6)

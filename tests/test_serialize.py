@@ -1,6 +1,7 @@
 """Experiment-file and result-record serialization tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,16 @@ class TestResultRecord:
     def test_non_numeric_wall_time_names_the_path(self):
         with pytest.raises(FileFormatError, match=r"record\.wall_time: expected a number"):
             record_loads(self._tampered(wall_time="abc"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["values.robustness", "values.route_gap", "wall_time"])
+    def test_non_finite_numbers_name_the_path(self, where, bad):
+        payload = json.loads(record_dumps(self._record()))
+        *section, key = where.split(".")
+        (payload[section[0]] if section else payload)[key] = bad
+        text = json.dumps(payload)  # writes NaN, Infinity or -Infinity
+        with pytest.raises(FileFormatError, match=re.escape(f"record.{where}: expected a finite number")):
+            record_loads(text)
 
     def test_warnings_must_be_a_list_of_strings(self):
         with pytest.raises(FileFormatError, match=r"record\.warnings: expected a list"):
