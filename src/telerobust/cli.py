@@ -34,6 +34,7 @@ import numpy as np
 from .conic import NumericalError, SolverError
 from .discrim import (
     DiscriminationInstrument,
+    advantage_ratio,
     build_discrimination_from_dual,
     checked_denominator,
     classical_p_succ_ensemble,
@@ -280,14 +281,9 @@ def cmd_discrim_classical(args):
 def cmd_discrim_ratio(args):
     e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
     instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
-    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=args.tol))
-    numerator = p_succ(e, instr)
+    ratio, numerator, denominator = advantage_ratio(e, instr, tol=args.tol)
     return ResultRecord(
-        values={
-            "ratio": numerator / denominator,
-            "numerator": numerator,
-            "denominator": denominator,
-        },
+        values={"ratio": ratio, "numerator": numerator, "denominator": denominator},
         warnings=_ppt_warnings(e.dim, e.dim),
     )
 

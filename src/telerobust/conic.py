@@ -20,19 +20,25 @@ block has a nonzero coefficient.  Blocks with the same support share it,
 and the supports are the one row index of all four row operations (A X,
 A^T y, the row norms and the Schur complement): one product per support,
 added through a slice when its rows are one contiguous range.  The Schur
-complement is assembled in the per-block sparsity style of Fujisawa,
-Kojima & Nakata (Math. Prog. 79, 1997), as one Gram product of the
-sharing blocks' scaled rows.  Blocks of equal size are stacked so that
-eigendecompositions, scaling and step lengths run as one batched call per
-size.  What remains per iteration is the dense Cholesky factorization of
-the m x m Schur matrix.
+complement is built in the per-block sparsity style of Fujisawa, Kojima
+& Nakata (Math. Prog. 79, 1997), from one Gram product of the sharing
+blocks' scaled rows per support.  When the supports form a block arrow
+(k disjoint supports of equal size, one block on every row with the same
+coefficients on each of them, and border rows in none of them, as in the
+robustness dual), the Schur matrix is factored by block Cholesky in that
+form: one Cholesky per local support and one for the border, and no
+m x m matrix.  Every other program has k = 0, and its border is the
+whole Schur matrix, factored densely by the same routine.  Blocks of
+equal size are stacked so that eigendecompositions, scaling and step
+lengths run as one batched call per size.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
-about 0.015-0.03 s (68 rows) at d = 2 and 0.27-0.34 s (738 rows) at
-d = 3, and that one solve gives the robustness with both certificates
+about 0.015-0.03 s (68 rows) at d = 2, 0.14-0.18 s (738 rows) at d = 3
+and 2.5-2.7 s (4112 rows, 230-250 MB peak RSS) at d = 4, and that one
+solve gives the robustness with both certificates
 (``rot.rot_certified``).  The primal program, kept as an independent
-check, takes about 0.025-0.045 s (144 rows) and 1.05-1.15 s (1539 rows).
+check, takes about 0.025-0.045 s (144 rows) and 0.9-1.1 s (1539 rows).
 Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
 the primal 0.4-0.7 ms and 2-3.7 ms.  Re-checking either certificate
 runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.
@@ -43,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm as _trsm, dtrsv as _trsv
+from scipy.linalg.lapack import dpotrf as _potrf
 
 from .linalg import NumericalError, dagger, hermitize, partial_transpose
 
@@ -271,13 +278,147 @@ def _support(r, found):
     return _Support(rows, index, coef, _span(np.concatenate([c for *_, c in found])), members)
 
 
+def _scaled_rows(sup, ph):
+    """U_R = [A_R^1 Ph^1 | A_R^2 Ph^2 | ...], whose Gram matrix is the support's Schur term."""
+    return np.concatenate([a @ ph[g][b] for g, b, a in sup.members], axis=1)
+
+
+@dataclass
+class _Arrow:
+    """The block-arrow form of a Schur matrix, read off the row supports.
+
+    The ``local`` supports are disjoint and of equal size r, and one
+    block, ``shared`` = (group, position), touches every row with the
+    same coefficient rows on each local support.  With D_a the Gram
+    matrix of local support a and U_0, U_b the shared block's scaled
+    rows on one local support and on the border (the rows in no local
+    support), the Schur matrix in the row order ``perm`` is
+
+        [[blockdiag(D_a) + J (x) U_0 U_0^T,  1 (x) U_0 U_b^T],
+         [1^T (x) U_b U_0^T,                 U_b U_b^T      ]].
+
+    ``coef`` holds the shared block's coefficient rows on one local
+    support, then on the border.  A program without this structure has
+    no local supports: its border is every row, in row order.
+    """
+
+    local: list[_Support]
+    shared: tuple[int, int] | None
+    coef: np.ndarray | None
+    perm: np.ndarray
+
+
+def _arrow(supports, m):
+    """The :class:`_Arrow` of a program's row supports; k = 0 without that structure."""
+    dense = _Arrow([], None, None, np.arange(m))
+    rows = [np.arange(m)[s.rows] for s in supports]
+    full = [i for i, (s, r) in enumerate(zip(supports, rows)) if len(s.members) == 1 and len(r) == m]
+    local = [i for i in range(len(supports)) if i not in full]
+    if len(full) != 1 or not local or len({len(rows[i]) for i in local}) != 1:
+        return dense
+    taken = np.concatenate([rows[i] for i in local])
+    if len(np.unique(taken)) != len(taken):
+        return dense
+    where = np.empty(m, dtype=int)
+    where[rows[full[0]]] = np.arange(m)
+    coef = supports[full[0]].coef
+    c0 = coef[where[rows[local[0]]]]
+    if not all(np.array_equal(coef[where[rows[i]]], c0) for i in local[1:]):
+        return dense
+    border = np.setdiff1d(np.arange(m), taken)
+    g, b, _ = supports[full[0]].members[0]
+    return _Arrow(
+        [supports[i] for i in local], (g, b), np.vstack([c0, coef[where[border]]]), np.concatenate([taken, border])
+    )
+
+
+def _arrow_factor(pivots, z, shift):
+    """Block Cholesky factor of an arrow matrix, with ``shift`` added to its diagonal.
+
+    The matrix is blockdiag(pivots) + J (x) Z_KK on the k local blocks of
+    size r, bordered by Z_KF and Z_FF, where z = [[Z_KK, Z_KF], [Z_FK, Z_FF]].
+    Step a factors L_a = chol(D_a + Z_KK), forms X_a = L_a^-1 [Z_KK | Z_KF]
+    and updates Z -= X_a^T X_a; every later block of column a is the same
+    X_a, so the form is kept.  Returns the (L_a, X_a) and the border's factor.
+    """
+    z = z.copy()
+    r = pivots[0].shape[0] if pivots else 0
+    steps = []
+    for d in pivots:
+        p = d + z[:r, :r]
+        if shift:
+            p[np.diag_indices(r)] += shift
+        # p and z are symmetric, so their transposes are the Fortran-ordered
+        # arrays LAPACK takes without a copy; X_a^T = [Z_KK | Z_KF]^T L_a^-T
+        low, info = _potrf(p.T, lower=1, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError("Schur pivot block not positive definite")
+        x = _trsm(1.0, low, z[:r].T, side=1, lower=1, trans_a=1).T
+        z -= x.T @ x
+        steps.append((low, x))
+    fb = z[r:, r:]
+    if shift:
+        fb[np.diag_indices(fb.shape[0])] += shift
+    low, info = _potrf(fb.T, lower=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError("Schur border block not positive definite")
+    return steps, low
+
+
+def _arrow_solver(pivots, z, perm):
+    """Factor the arrow matrix of :func:`_arrow_factor` once; returns a solver callable.
+
+    Retries with a diagonal ridge of 1e-14, 1e-11 and 1e-8 times tr M / m,
+    as one shift of every diagonal entry.  The forward and backward solves
+    each pass over the local blocks once, carrying one running sum.
+    """
+    r = pivots[0].shape[0] if pivots else 0
+    base = (sum(np.trace(d) for d in pivots) + len(pivots) * np.trace(z[:r, :r]) + np.trace(z[r:, r:])) / len(perm)
+    if not np.isfinite(base):
+        raise np.linalg.LinAlgError("Schur complement not finite")
+    for ridge in (0.0, 1e-14, 1e-11, 1e-8):
+        try:
+            steps, border = _arrow_factor(pivots, z, ridge * base)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+    width = z.shape[0]
+
+    def msolve(rhs):
+        v = rhs[perm]
+        run = np.zeros(width)  # sum of X_c^T y_c over the blocks done
+        ys = []
+        for a, (low, x) in enumerate(steps):
+            ys.append(_trsv(low, v[a * r : (a + 1) * r] - run[:r], lower=1))
+            run += ys[-1] @ x
+        yb = _trsv(border, v[len(steps) * r :] - run[r:], lower=1)
+        run[:r] = 0.0  # from here: the sum of the local solutions so far, then the border's
+        run[r:] = _trsv(border, yb, lower=1, trans=1)
+        out = np.empty_like(v)
+        out[len(steps) * r :] = run[r:]
+        for a in range(len(steps) - 1, -1, -1):
+            low, x = steps[a]
+            xa = _trsv(low, ys[a] - x @ run, lower=1, trans=1)
+            out[a * r : (a + 1) * r] = xa
+            run[:r] += xa
+        res = np.empty_like(out)
+        res[perm] = out
+        return res
+
+    return msolve
+
+
 class _Standard:
     """Compiled standard form: equality rows over PSD blocks only.
 
     Blocks of equal size form one :class:`_Group`, and iterates are held
     as one stack per group, so per-block work is one batched call per
     size.  Each block's rows are held once, in the :class:`_Support` that
-    ``a_dot``, ``at_y``, ``row_norms`` and ``schur`` all read.
+    ``a_dot``, ``at_y``, ``row_norms``, ``schur`` and ``factor`` all
+    read; ``arrow`` is their block-arrow form (:class:`_Arrow`).
     """
 
     def __init__(self, problem: SdpProblem):
@@ -343,6 +484,7 @@ class _Standard:
             self.ends.append(start)
             self.groups.append(_Group(n=n, idx=idx, C=c_stack))
         self.supports = [_support(r, members) for r, members in found.values()]
+        self.arrow = _arrow(self.supports, m)
 
     def unstack(self, stacks):
         """Per-block list of matrices from one stack per group."""
@@ -384,9 +526,29 @@ class _Standard:
         ph = [_congruence_svec(h) for h in wh]
         mmat = np.zeros((self.m, self.m))
         for sup in self.supports:
-            u = np.concatenate([a @ ph[g][b] for g, b, a in sup.members], axis=1)
+            u = _scaled_rows(sup, ph)
             mmat[sup.index] += u @ u.T
         return mmat
+
+    def factor(self, wh):
+        """Cholesky factor of the Schur matrix for scalings ``wh``, as a solver callable.
+
+        On a program with the block-arrow structure of :class:`_Arrow`
+        (k local supports) it factors one r x r pivot per local support
+        and the border, and never forms the m x m matrix.  Otherwise k = 0
+        and the border is the whole matrix from :meth:`schur`.
+        """
+        arrow = self.arrow
+        if not arrow.local:
+            return _arrow_solver([], self.schur(wh), arrow.perm)
+        ph = [_congruence_svec(h) for h in wh]
+        pivots = []
+        for sup in arrow.local:
+            u = _scaled_rows(sup, ph)
+            pivots.append(u @ u.T)
+        g, b = arrow.shared
+        u = arrow.coef @ ph[g][b]
+        return _arrow_solver(pivots, u @ u.T, arrow.perm)
 
 
 def _block_rows(problem):
@@ -416,26 +578,32 @@ def _congruence_svec(h):
 
     Row c is svec(h E_c h) for the c-th svec basis matrix E_c; since the
     map is self-adjoint and svec an isometry, each matrix is symmetric.
+    With (p, q) running over the pairs P = [0..n) ++ iu, Q = [0..n) ++ ju,
+    (h E_ij h)_pq = h_pi conj(h_qj) is a1 = h[P, P] * conj(h[Q, Q]) and
+    (h E_ji h)_pq is a2 = h[P, Q] * conj(h[Q, P]); the diagonal, real and
+    imaginary basis matrices take a1, (a1 + a2) / sqrt2 and
+    i (a1 - a2) / sqrt2, and svec reads them off as Re, sqrt2 Re, sqrt2 Im.
     """
     count, n, _ = h.shape
-    t = h[:, None] @ _basis(n)[None] @ h[:, None]
-    return svec_stack(t.reshape(-1, n, n)).reshape(count, n * n, n * n)
-
-
-def _chol_solve_psd(Mmat):
-    """Factor M once; returns a solver callable. Retries with a diagonal ridge."""
-    base = np.trace(Mmat) / max(1, Mmat.shape[0])
-    for ridge in (0.0, 1e-14, 1e-11, 1e-8):
-        shifted = Mmat
-        if ridge:
-            shifted = Mmat.copy()
-            shifted[np.diag_indices_from(shifted)] += ridge * base
-        try:
-            fac = cho_factor(shifted, lower=True, overwrite_a=bool(ridge))
-            return lambda r: cho_solve(fac, r, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("Schur complement not positive definite")
+    iu, ju = _triu(n)
+    p = np.concatenate([np.arange(n), iu])
+    q = np.concatenate([np.arange(n), ju])
+    hc = h.conj()
+    a1 = h[:, p[:, None], p] * hc[:, q[:, None], q]
+    a2 = h[:, p[:, None], q] * hc[:, q[:, None], p]
+    s, d = a1 + a2, a1 - a2
+    dg, re, im, up = slice(0, n), slice(n, n + len(iu)), slice(n + len(iu), n * n), slice(n, None)
+    out = np.empty((count, n * n, n * n))
+    out[:, dg, dg] = a1[:, dg, dg].real
+    out[:, re, dg] = _SQRT2 * a1[:, up, dg].real
+    out[:, im, dg] = _SQRT2 * a1[:, up, dg].imag
+    out[:, dg, re] = s[:, dg, up].real / _SQRT2
+    out[:, re, re] = s[:, up, up].real
+    out[:, im, re] = s[:, up, up].imag
+    out[:, dg, im] = -d[:, dg, up].imag / _SQRT2
+    out[:, re, im] = -d[:, up, up].imag
+    out[:, im, im] = d[:, up, up].real
+    return out
 
 
 def _eig_pow(x, *powers):
@@ -591,7 +759,7 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
 
         msolve = None  # frees the previous factor before the next m x m matrix is built
         try:
-            msolve = _chol_solve_psd(std.schur(Wh))
+            msolve = std.factor(Wh)
         except (np.linalg.LinAlgError, ValueError):
             return finish("numerical_error", "Schur complement factorization failed", use_best=True)
 

@@ -337,10 +337,15 @@ def checked_denominator(benchmark: float) -> float:
     return benchmark
 
 
-def advantage_ratio(e: DiscriminationInstrument, instr: TeleportationInstrument, tol=1e-9) -> float:
-    """Quantum-over-classical guessing ratio for a fixed branch family."""
+def advantage_ratio(e: DiscriminationInstrument, instr: TeleportationInstrument, tol=1e-9):
+    """Quantum-over-classical guessing ratio for a fixed branch family.
+
+    Returns (ratio, numerator, denominator): the ratio, the success
+    probability with ``instr``, and the classical ensemble benchmark.
+    """
     denominator = checked_denominator(classical_p_succ_ensemble(e, tol=tol))
-    return p_succ(e, instr) / denominator
+    numerator = p_succ(e, instr)
+    return numerator / denominator, numerator, denominator
 
 
 def pauli_twirl_instrument(d=2) -> DiscriminationInstrument:

@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -110,7 +111,20 @@ def encode_matrix(mat, dims=None):
     }
 
 
+def _numbers(values):
+    """True when every entry is a JSON number (an int or a float, not a bool)."""
+    return set(map(type, values)) <= {float, int}
+
+
 def _decode_grid(obj, path):
+    if (
+        isinstance(obj, list)
+        and obj
+        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
+        and _numbers(chain.from_iterable(obj))
+    ):
+        return _finite(np.asarray(obj, dtype=float), path)
+    # the slow walk names the first entry that is wrong
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty list of rows")
     width = None
     for i, row in enumerate(obj):
@@ -154,12 +168,13 @@ def decode_matrix(obj, path):
 
 def _decode_weights(obj, path, length=None):
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty list of numbers")
-    for i, v in enumerate(obj):
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{path}[{i}]",
-            "expected a number",
-        )
+    if not _numbers(obj):
+        for i, v in enumerate(obj):
+            _expect(
+                isinstance(v, (int, float)) and not isinstance(v, bool),
+                f"{path}[{i}]",
+                "expected a number",
+            )
     if length is not None:
         _expect(len(obj) == length, path, f"expected {length} entries, got {len(obj)}")
     return _finite(np.asarray(obj, dtype=float), path)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from telerobust import cli, conic
+from telerobust import cli, conic, discrim
 from telerobust.conic import SolverError, verify_certificate
 from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
 from telerobust.games import build_game_from_dual
@@ -161,7 +161,7 @@ class TestExitCodes:
         assert "'numerical_error'" in capsys.readouterr().err
 
     def test_degenerate_benchmark_exits_5(self, files, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
         code = cli.main(
             ["discrim", "ratio", "--e", str(files["twirl"]), "--instrument", str(files["ideal2"])]
         )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust import conic
+from telerobust import rot as rot_module
 from telerobust.conic import (
     SdpProblem,
     SdpSolution,
@@ -352,6 +353,107 @@ def test_schur_matches_dense_reference_on_robustness_programs(name):
         assert sorted(len(s.members) for s in std.supports) == [1] + [3] * 9
         assert any(s.index == (slice(0, 738),) * 2 for s in std.supports)
     assert sum(len(s.members) for s in std.supports) == len(std.sizes)
+
+
+def _rand_scalings(std, rng):
+    """One random positive definite scaling W^(1/2) per block, stacked per group."""
+    out = []
+    for g in std.groups:
+        a = rng.standard_normal((len(g.idx), g.n, g.n)) + 1j * rng.standard_normal((len(g.idx), g.n, g.n))
+        out.append(a @ dagger(a) + np.eye(g.n))
+    return out
+
+
+def _dual_of(case):
+    rng = np.random.default_rng(5)
+    if case == "d3_bell":
+        return rot_dual_problem(build_instrument(bell_povm(3), isotropic_state(0.7, 3)))[0]
+    if case == "dv2_db3":
+        return rot_dual_problem(build_instrument(rand_povm((2, 2), 3, rng=rng), rand_state((2, 3), rng=rng)))[0]
+    outcomes = int(case.split("_")[1])
+    return rot_dual_problem(build_instrument(rand_povm((2, 2), outcomes, rng=rng), rand_state((2, 2), rng=rng)))[0]
+
+
+@pytest.mark.parametrize(
+    "case, k, r, border",
+    [
+        ("d2_1", 1, 16, 4),
+        ("d2_2", 2, 16, 4),
+        ("d2_4", 4, 16, 4),
+        ("d2_5", 5, 16, 4),
+        ("d3_bell", 9, 81, 9),
+        ("dv2_db3", 3, 36, 9),
+    ],
+)
+def test_arrow_solve_matches_dense_schur_solve(case, k, r, border):
+    """The block-arrow factor solves M x = r as the dense Schur matrix does.
+
+    Each robustness dual has k outcome supports of r rows (A_a, P_a and
+    Q_a), one normaliser B on every row, and d_B^2 border rows.
+    """
+    std = _Standard(_dual_of(case))
+    assert len(std.arrow.local) == k and std.m == k * r + border
+    assert all(len(np.arange(std.m)[s.rows]) == r for s in std.arrow.local)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        wh = _rand_scalings(std, rng)
+        rhs = rng.standard_normal(std.m)
+        ref = np.linalg.solve(std.schur(wh), rhs)
+        got = std.factor(wh)(rhs)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_primal_and_classical_programs_factor_densely(monkeypatch):
+    """Programs without the arrow structure have k = 0: the border is every row."""
+    seen = []
+    real = rot_module.solve_checked
+    monkeypatch.setattr(rot_module, "solve_checked", lambda prob, **kw: seen.append(prob) or real(prob, **kw))
+    rot_module.classical_max([np.eye(4), None, np.eye(4)], (2, 2))
+    primal = rot_primal_problem(build_instrument(bell_povm(2), isotropic_state(0.7, 2)))[0]
+    rng = np.random.default_rng(4)
+    for prob in (primal, seen[0]):
+        std = _Standard(prob)
+        assert std.arrow.local == [] and np.array_equal(std.arrow.perm, np.arange(std.m))
+        wh = _rand_scalings(std, rng)
+        rhs = rng.standard_normal(std.m)
+        ref = np.linalg.solve(std.schur(wh), rhs)
+        assert np.linalg.norm(std.factor(wh)(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_singular_pivot_takes_the_dense_ridge():
+    """A zero pivot block is shifted by 1e-14 tr M / m, as the dense path shifts M.
+
+    Zero scalings on outcome 0's blocks and on B make the pivot of
+    outcome 0 and the border zero, so M is singular and the first rung of
+    the ridge ladder succeeds.  The solution must be that of
+    M + 1e-14 (tr M / m) 1 on every row, not of a larger ridge.
+    """
+    std = _Standard(_dual_of("d2_4"))
+    rng = np.random.default_rng(8)
+    wh = _rand_scalings(std, rng)
+    (group,) = wh
+    group[[0, 4, 5, 9]] = 0.0  # A_0, B, P_0, Q_0
+    rhs = rng.standard_normal(std.m)
+    mmat = std.schur(wh)
+    base = np.trace(mmat) / std.m
+    got = std.factor(wh)(rhs)
+    ref = np.linalg.solve(mmat + 1e-14 * base * np.eye(std.m), rhs)
+    for rows in (np.r_[0:16, 64:68], np.r_[16:64]):  # the zero rows, then the others
+        assert np.linalg.norm(got[rows] - ref[rows]) <= 1e-10 * np.linalg.norm(ref[rows])
+    larger = np.linalg.solve(mmat + 1e-11 * base * np.eye(std.m), rhs)
+    assert np.linalg.norm(larger) < 1e-2 * np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16])
+def test_congruence_matches_explicit_products(n):
+    """Row c of each Ph is svec(h E_c h), for the svec basis matrices E_c."""
+    rng = np.random.default_rng(n)
+    h = np.stack([_rand_herm(rng, n) for _ in range(2)])
+    basis = conic._basis(n)
+    got = conic._congruence_svec(h)
+    for b in range(2):
+        ref = svec_stack(h[b] @ basis @ h[b])
+        assert np.abs(got[b] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_stored_rows_compile_to_svec_rows():

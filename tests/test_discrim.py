@@ -353,7 +353,7 @@ class TestBuildFromDual:
             m = rand_povm((2, 2), outcomes=4, rng=rng)
             state = rand_state((2, 2), rank=1, rng=rng)
             instr = build_instrument(m, state)
-            assert advantage_ratio(e, instr) <= 1.0 + rot(instr) + 1e-4
+            assert advantage_ratio(e, instr)[0] <= 1.0 + rot(instr) + 1e-4
 
     def test_degenerate_certificate_rejected(self):
         fake = RotDualSolution(
@@ -382,12 +382,13 @@ class TestBuildFromDual:
 
 class TestAdvantageRatio:
     def test_pauli_twirl_with_ideal_teleportation_doubles_the_benchmark(self):
-        ratio = advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))
+        ratio, numerator, denominator = advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))
         assert abs(ratio - 2.0) <= 1e-4
+        assert ratio == numerator / denominator
 
     def test_flat_instrument_gains_nothing(self):
         pt = pauli_twirl_instrument(2)
-        ratio = advantage_ratio(pt, _one_outcome_instrument(2))
+        ratio, _, _ = advantage_ratio(pt, _one_outcome_instrument(2))
         assert ratio <= 1.0 + 1e-6
 
     def test_degenerate_denominator_guard(self, monkeypatch):

@@ -147,6 +147,23 @@ def test_bell_isotropic_closed_form(d, p):
         assert cert.value <= 1e-8
 
 
+@pytest.mark.parametrize("p, expected", [(0.7, 1.875), (0.2, 0.0)])
+def test_bell_isotropic_closed_form_at_d4(p, expected):
+    """The closed form at d = 4 from one dual solve (4112 rows), both certificates re-verified.
+
+    p = 1/5 is the entanglement threshold, where T is clamped to [0, 1e-8].
+    """
+    inst = build_instrument(bell_povm(4), _isotropic(p, 4))
+    cert = rot_certified(inst)
+    for sol, prob in ((cert.dual, rot_dual_problem(inst)[0]), (cert.primal, rot_primal_problem(inst)[0])):
+        assert abs(sol.value - expected) <= 1e-6
+        report = verify_certificate(prob, sol.solution)
+        assert report.ok, report.messages
+    assert cert.value >= 0.0 and abs(cert.value - expected) <= 1e-6
+    if expected == 0.0:
+        assert cert.value <= 1e-8
+
+
 class TestSolveIsVerified:
     """A solve is accepted only once ``verify_certificate`` passes.
 

@@ -106,6 +106,22 @@ class TestMatrixCodec:
         with pytest.raises(FileFormatError, match="\\$\\.m"):
             decode_matrix(enc, "$.m")
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "string", "null"])
+    def test_non_number_in_last_row_names_its_entry(self, bad):
+        """A grid that fails the fast all-numbers check is walked entry by entry."""
+        enc = encode_matrix(np.eye(3))
+        enc["im"][2][1] = bad
+        with pytest.raises(FileFormatError, match=re.escape("$.m.im[2][1]: expected a number")):
+            decode_matrix(enc, "$.m")
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "string", "null"])
+    def test_non_number_multiplier_names_its_entry(self, bad):
+        payload = certificate_payload(rot_dual(ideal_instrument(2)).solution)
+        last = len(payload["dual_multipliers"]) - 1
+        payload["dual_multipliers"][last] = bad
+        with pytest.raises(FileFormatError, match=re.escape(f"certificate.dual_multipliers[{last}]: expected a number")):
+            solution_from_payload(payload)
+
 
 class TestObjectCodecs:
     def test_state_round_trip(self):
