@@ -64,7 +64,7 @@ from .qobjects import (
     pauli_six,
     realize_from_choi,
 )
-from .rot import rot, rot_certified, rot_dual
+from .rot import rot_certified, rot_dual, rot_many
 from .serialize import (
     FileFormatError,
     ResultRecord,
@@ -403,10 +403,11 @@ def cmd_sweep(args):
     family = UnitaryFamily("pauli_group")
     bell = bell_povm(2)
 
+    instrs = [build_instrument(bell, isotropic_state(p, 2)) for p in grid]
+    ts = rot_many(instrs, tol=args.tol)
+
     lines = ["p,robustness,fidelity,game_score,discrimination_ratio"]
-    for p in grid:
-        instr = build_instrument(bell, isotropic_state(p, 2))
-        t_val = rot(instr, tol=args.tol)
+    for p, instr, t_val in zip(grid, instrs, ts):
         fid = average_fidelity(instr, probes, family)
         score = game_score(game, instr)
         ratio = p_succ(twirl, instr) / denominator
@@ -416,15 +417,23 @@ def cmd_sweep(args):
     return None
 
 
-def _positive_int(text):
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, what):
+    """argparse type for counts: an integer >= ``low``, called ``what`` in errors."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive integer")
+_non_negative_int = _int_at_least(0, "non-negative integer")
 
 
 def _leaf(p, handler, tol=None, record=True):
@@ -527,9 +536,9 @@ def build_parser():
     _leaf(p, cmd_sim_apply)
     p = sim_sub.add_parser("check", help="randomized monotonicity search")
     p.add_argument("--instrument", required=True)
-    p.add_argument("--classical", type=int, default=50, help="classical recipes to try")
-    p.add_argument("--quantum", type=int, default=20, help="quantum recipes to try")
-    p.add_argument("--mixtures", type=int, default=20, help="convex mixtures to try")
+    p.add_argument("--classical", type=_non_negative_int, default=50, help="classical recipes to try")
+    p.add_argument("--quantum", type=_non_negative_int, default=20, help="quantum recipes to try")
+    p.add_argument("--mixtures", type=_non_negative_int, default=20, help="convex mixtures to try")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled recipes (default 0)")
     _leaf(p, cmd_sim_check, tol=1e-6)
 

@@ -32,7 +32,7 @@ from .qobjects import (
     rand_povm,
     rand_state,
 )
-from .rot import rot
+from .rot import rot_many
 
 __all__ = [
     "ClassicalSimulation",
@@ -358,40 +358,46 @@ def check_monotones(
 
     Together the checks exercise every composition path; violations are
     returned with the offending recipe attached.
+
+    The search runs in three phases.  First every recipe is drawn and
+    every check that needs no robustness value is evaluated, in one
+    fixed order, so a seed always draws the same recipes.  Then the
+    robustness of the base instrument, of each simulated instrument and
+    of each mixture and its other member is computed by one
+    :func:`~telerobust.rot.rot_many` call, which solves them in parallel
+    on forked workers when more than one CPU is usable.  Last, the
+    violations are listed sample by sample — the classical recipes, then
+    the quantum ones, then the mixtures — each sample's robustness check
+    before its other checks.
     """
     rng = np.random.default_rng(seed)
     d_v, d_b = instr.dims
-    base_t = rot(instr)
-    violations = []
-    checked = 0
-
-    def note(quantity, kind, before, after, recipe):
-        if after > before + tol:
-            violations.append(MonotoneViolation(quantity, kind, float(before), float(after), recipe))
+    needs_rot = [instr]  # solved in this order; the base instrument first
+    samples = []  # (kind, recipe, [(quantity, before, after), ...])
 
     for _ in range(classical_samples):
         sim = rand_classical_sim(instr.outcomes, rng)
         simmed = apply_classical_sim(instr, sim)
-        note("robustness", "classical", base_t, rot(simmed), sim)
+        needs_rot.append(simmed)
+        checks = []
         if d_v == d_b:
             e = rand_discrimination_instrument(d_v, branches=int(rng.integers(2, 5)), rng=rng)
-            note("discrimination", "classical", p_succ(e, instr), p_succ(e, simmed), sim)
+            checks.append(("discrimination", p_succ(e, instr), p_succ(e, simmed)))
         g = _rand_game(d_v, d_b, rng)
         before = game_score(g, instr, relabelings="on")
-        note("game", "classical", before, game_score(g, simmed, relabelings="on"), sim)
-        checked += 1
+        checks.append(("game", before, game_score(g, simmed, relabelings="on")))
+        samples.append(("classical", sim, checks))
 
     for _ in range(quantum_samples):
         sim = rand_quantum_sim(instr.outcomes, d_v, d_b, rng)
         simmed = apply_quantum_sim(instr, sim)
-        note("robustness", "quantum", base_t, rot(simmed), sim)
+        needs_rot.append(simmed)
         g = _rand_game(d_v, d_b, rng)
         covered = max(
             game_score(g, instr, relabelings="on"),
             _functional_game_value(g, instr, sim),
         )
-        note("game", "quantum", covered, game_score(g, simmed, relabelings="on"), sim)
-        checked += 1
+        samples.append(("quantum", sim, [("game", covered, game_score(g, simmed, relabelings="on"))]))
 
     for _ in range(mixture_samples):
         other = build_instrument(
@@ -402,8 +408,25 @@ def check_monotones(
         mixed = TeleportationInstrument(
             [p * a + (1.0 - p) * b for a, b in zip(instr.mats, other.mats)], instr.dims
         )
-        bound = p * base_t + (1.0 - p) * rot(other)
-        note("robustness-convexity", "mixture", bound, rot(mixed), {"weight": p, "other": other})
-        checked += 1
+        needs_rot += [other, mixed]
+        samples.append(("mixture", {"weight": p, "other": other}, []))
 
-    return MonotoneReport(instr.dims, checked, violations)
+    robustness = iter(rot_many(needs_rot))
+    base_t = next(robustness)
+    violations = []
+
+    def note(quantity, kind, before, after, recipe):
+        if after > before + tol:
+            violations.append(MonotoneViolation(quantity, kind, float(before), float(after), recipe))
+
+    for kind, recipe, checks in samples:
+        if kind == "mixture":
+            p = recipe["weight"]
+            bound = p * base_t + (1.0 - p) * next(robustness)
+            note("robustness-convexity", kind, bound, next(robustness), recipe)
+        else:
+            note("robustness", kind, base_t, next(robustness), recipe)
+        for quantity, before, after in checks:
+            note(quantity, kind, before, after, recipe)
+
+    return MonotoneReport(instr.dims, len(samples), violations)

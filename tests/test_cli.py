@@ -3,6 +3,8 @@
 import argparse
 import inspect
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -149,6 +151,21 @@ class TestExitCodes:
         assert code == 4
         assert "solver exploded" in capsys.readouterr().err
 
+    def test_solver_failure_in_forked_workers_exits_4(self, files, monkeypatch, capsys):
+        """The robustness solves of ``sim check`` run on forked workers,
+        which inherit the patched solver; the failure still exits 4."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(
+            conic, "solve", lambda prob, **kwargs: conic.SdpSolution(status="max_iterations", message="stalled")
+        )
+        code = cli.main(
+            ["sim", "check", "--instrument", str(files["ideal2"]),
+             "--classical", "2", "--quantum", "1", "--mixtures", "1"]
+        )
+        assert code == 4
+        assert "status 'max_iterations'" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
     def test_step_length_failure_exits_4(self, files, monkeypatch, capsys):
         """A LinAlgError in the step length is a failed solve (4), not a file error (3)."""
 
@@ -191,6 +208,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
         assert not (tmp_path / "task.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--classical", "--quantum", "--mixtures"])
+    def test_negative_sample_count_exits_2(self, files, capsys, flag):
+        counts = {"--classical": "0", "--quantum": "0", "--mixtures": "0", flag: "-3"}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sim", "check", "--instrument", str(files["ideal2"])] + [a for kv in counts.items() for a in kv])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_zero_sample_counts_check_nothing(self, files, tmp_path):
+        code, rec = run_record(
+            ["sim", "check", "--instrument", str(files["ideal2"]),
+             "--classical", "0", "--quantum", "0", "--mixtures", "0"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rec.values["checked"] == 0 and rec.values["ok"] is True
 
     @pytest.mark.parametrize(
         "mults, where",

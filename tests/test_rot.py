@@ -1,11 +1,14 @@
 """Tests for the robustness programs and the measurement see-saw."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust import conic as conic_module
-from telerobust.conic import SolverError, smat, svec, verify_certificate
+from telerobust.conic import SdpSolution, SolverError, smat, svec, verify_certificate
 from telerobust.linalg import (
     dagger,
     frobenius_norm,
@@ -17,6 +20,7 @@ from telerobust.linalg import (
 )
 from telerobust.qobjects import (
     DensityMatrix,
+    Povm,
     TeleportationInstrument,
     bell_povm,
     build_instrument,
@@ -24,6 +28,7 @@ from telerobust.qobjects import (
     isotropic_state,
     rand_povm,
     rand_state,
+    rand_unitary,
     weyl_family,
 )
 from telerobust.rot import (
@@ -36,6 +41,7 @@ from telerobust.rot import (
     rot_certified,
     rot_dual,
     rot_dual_problem,
+    rot_many,
     rot_max_over_povm,
     rot_primal,
     rot_primal_problem,
@@ -341,6 +347,71 @@ class TestConvexityAndMonotonicity:
             [inst.mats[0] + inst.mats[1], inst.mats[2] + inst.mats[3]], inst.dims
         )
         assert rot(merged) <= rot(inst) + 1e-7
+
+
+class TestRotMany:
+    """``rot_many`` returns ``[rot(i) for i in instrs]`` from forked workers.
+
+    The usable CPUs are monkeypatched, so each test takes the path it
+    names on any machine; no worker may outlive a call.
+    """
+
+    INSTRS = [
+        build_instrument(rand_povm((2, 2), k, rng=np.random.default_rng(k)), rand_state((2, 2), rng=k))
+        for k in (1, 2, 3, 4, 5)
+    ]
+
+    def test_equals_one_rot_per_instrument(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert rot_many(self.INSTRS) == [rot(i) for i in self.INSTRS]
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        expected = [rot(i) for i in self.INSTRS]
+
+        def no_pool(method):
+            raise AssertionError(f"a {method} pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert rot_many(self.INSTRS) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        """The forked workers inherit the patched solver and fail in it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(
+            conic_module, "solve", lambda prob, **kwargs: SdpSolution(status="max_iterations", message="stalled")
+        )
+        with pytest.raises(SolverError, match="status 'max_iterations'"):
+            rot_many(self.INSTRS)
+        assert multiprocessing.active_children() == []
+
+    def test_no_instruments(self):
+        assert rot_many([]) == []
+
+
+def _local_unitary(instr, rng):
+    """J_a -> (U_V (x) U_B) J_a (U_V (x) U_B)^dag for Haar-random U_V, U_B."""
+    d_v, d_b = instr.dims
+    u = tensor(rand_unitary(d_v, rng), rand_unitary(d_b, rng))
+    return TeleportationInstrument([u @ j @ dagger(u) for j in instr.mats], instr.dims)
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_robustness_is_invariant_under_relabelling_and_local_unitaries(seed):
+    """T of a random entangled d = 2 instrument (a Haar-random basis
+    measurement on a random pure state, T about 0.1-0.5) is unchanged by
+    an outcome permutation and by local unitaries on V and B."""
+    rng = np.random.default_rng(seed)
+    w = rand_unitary(4, rng)
+    basis = Povm([np.outer(w[:, a], w[:, a].conj()) for a in range(4)], (2, 2))
+    instr = build_instrument(basis, rand_state((2, 2), rank=1, rng=rng))
+    permuted = TeleportationInstrument([instr.mats[a] for a in rng.permutation(4)], instr.dims)
+    t, t_perm, t_rot = rot_many([instr, permuted, _local_unitary(instr, rng)])
+    assert abs(t_perm - t) <= 1e-7
+    assert abs(t_rot - t) <= 1e-7
 
 
 class TestEntanglementRobustness:

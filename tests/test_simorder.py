@@ -8,6 +8,7 @@ from telerobust.games import game_score
 from telerobust.linalg import max_entangled, tensor
 from telerobust.qobjects import (
     ChoiOperator,
+    TeleportationInstrument,
     bell_povm,
     build_instrument,
     ideal_instrument,
@@ -220,7 +221,31 @@ class TestCheckMonotones:
         assert not rep.ok
 
     def test_search_is_deterministic(self):
-        kwargs = dict(classical_samples=3, quantum_samples=2, mixture_samples=2, seed=9)
-        a = check_monotones(ideal_instrument(2), **kwargs)
-        b = check_monotones(ideal_instrument(2), **kwargs)
-        assert a.checked == b.checked and a.ok == b.ok
+        """With a tolerance nothing clears, every check is reported, so the
+        report lists each before/after in the order the checks were made."""
+        instr = ideal_instrument(2)
+        kwargs = dict(classical_samples=3, quantum_samples=2, mixture_samples=2, seed=9, tol=-1e9)
+        a = check_monotones(instr, **kwargs)
+        b = check_monotones(instr, **kwargs)
+
+        def entries(rep):
+            return [(v.quantity, v.sim_kind, v.before, v.after) for v in rep.violations]
+
+        assert a.checked == 7 and entries(a) == entries(b)
+        assert [(v.quantity, v.sim_kind) for v in a.violations] == (
+            [("robustness", "classical"), ("discrimination", "classical"), ("game", "classical")] * 3
+            + [("robustness", "quantum"), ("game", "quantum")] * 2
+            + [("robustness-convexity", "mixture")] * 2
+        )
+
+        base = rot(instr)
+        for v in a.violations:
+            if v.quantity == "robustness":
+                apply = apply_classical_sim if v.sim_kind == "classical" else apply_quantum_sim
+                assert (v.before, v.after) == (base, rot(apply(instr, v.recipe)))
+            elif v.quantity == "robustness-convexity":
+                p, other = v.recipe["weight"], v.recipe["other"]
+                mixed = TeleportationInstrument(
+                    [p * x + (1.0 - p) * y for x, y in zip(instr.mats, other.mats)], instr.dims
+                )
+                assert (v.before, v.after) == (p * base + (1.0 - p) * rot(other), rot(mixed))
