@@ -13,30 +13,39 @@ decomposition of the dual slack into ``P + Q^{T_B}`` with P, Q >= 0.
 
 Internally everything is mapped to the real symmetric vectorization
 (svec) and solved with a Mehrotra predictor-corrector method using
-Nesterov-Todd scaling.  Rows are stored only as svec rows, read by both
-the solver and the certificate checker.  The compiled standard form
-holds each block's rows once, on its row support: the rows on which the
-block has a nonzero coefficient.  Blocks with the same support share it,
-and the supports are the one row index of all four row operations (A X,
-A^T y, the row norms and the Schur complement): one product per support,
-added through a slice when its rows are one contiguous range.  The Schur
-complement is built in the per-block sparsity style of Fujisawa, Kojima
-& Nakata (Math. Prog. 79, 1997), from one Gram product of the sharing
-blocks' scaled rows per support.  When the supports form a block arrow
-(k disjoint supports of equal size, one block on every row with the same
+Nesterov-Todd scaling, computed as in SDPT3 (Todd, Toh & Tutuncu, SIAM
+J. Optim. 8, 1998): one Cholesky factor S = R R^H and one
+eigendecomposition R^H X R = Q L^2 Q^H per stack of equal-size blocks
+give G = R^-H Q L^1/2, with G^-1 X G^-H = G^H S G = L diagonal and
+W = G G^H.  In that frame the search direction's Lyapunov equation is
+solved elementwise, and each step length is the smallest eigenvalue of
+L^-1/2 (G^-1 dX G^-H) L^-1/2 and of L^-1/2 (G^H dS G) L^-1/2, both
+sides in one call: five LAPACK calls per stack per iteration.
+
+Rows are stored only as svec rows, read by both the solver and the
+certificate checker.  The compiled standard form holds each block's rows
+once, on its row support: the rows on which the block has a nonzero
+coefficient.  Blocks with the same support share it, and the supports
+are the one row index of all four row operations (A X, A^T y, the row
+norms and the Schur complement): one product per support, added through
+a slice when its rows are one contiguous range.  The Schur complement is
+built in the per-block sparsity style of Fujisawa, Kojima & Nakata
+(Math. Prog. 79, 1997), from one Gram product of the sharing blocks'
+rows scaled by G per support.  When the supports form a block arrow (k
+disjoint supports of equal size, one block on every row with the same
 coefficients on each of them, and border rows in none of them, as in the
 robustness dual), the Schur matrix is factored by block Cholesky in that
 form: one Cholesky per local support and one for the border, and no
-m x m matrix.  Every other program has k = 0, and its border is the
-whole Schur matrix, factored densely by the same routine.  Blocks of
-equal size are stacked so that eigendecompositions, scaling and step
-lengths run as one batched call per size.
+m x m matrix.  Every other program has k = 0, and its border is the whole
+Schur matrix, factored densely by the same routine.  Blocks of equal
+size are stacked so that the factorizations, scaling and step lengths
+run as one batched call per size.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
-about 0.015-0.03 s (68 rows) at d = 2, 0.14-0.18 s (738 rows) at d = 3
-and 2.5-2.7 s (4112 rows, 230-250 MB peak RSS) at d = 4, and that one
-solve gives the robustness with both certificates
+about 0.012-0.024 s (68 rows) at d = 2, 0.08-0.12 s (738 rows) at
+d = 3 and 2.2-2.5 s (4112 rows, 230-240 MB peak RSS) at d = 4, and
+that one solve gives the robustness with both certificates
 (``rot.rot_certified``).  The primal program, kept as an independent
 check, takes about 0.025-0.045 s (144 rows) and 0.9-1.1 s (1539 rows).
 Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
@@ -279,7 +288,7 @@ def _support(r, found):
 
 
 def _scaled_rows(sup, ph):
-    """U_R = [A_R^1 Ph^1 | A_R^2 Ph^2 | ...], whose Gram matrix is the support's Schur term."""
+    """U_R = [A_R^1 Pg^1 | A_R^2 Pg^2 | ...], whose Gram matrix is the support's Schur term."""
     return np.concatenate([a @ ph[g][b] for g, b, a in sup.members], axis=1)
 
 
@@ -513,25 +522,28 @@ class _Standard:
             sq[sup.rows] += (sup.coef**2).sum(axis=1)
         return np.sqrt(sq)
 
-    def schur(self, wh):
-        """Schur matrix M_ij = <A_i, W A_j W>, with W = wh @ wh in each block.
+    def schur(self, gs):
+        """Schur matrix M_ij = <A_i, W A_j W>, with W = G G^H for any G in each block.
 
         A block with row support R and coefficient rows A_R adds
         A_R P A_R^T into M[R, R] only, where P is the svec matrix of
-        X -> W X W.  P = Ph Ph with Ph the symmetric svec matrix of
-        X -> wh X wh, so the term is the Gram matrix of A_R Ph.  The
-        blocks sharing R are summed as one Gram matrix of
-        U_R = [A_R^1 Ph^1 | A_R^2 Ph^2 | ...], added into M[R, R] once.
+        X -> W X W.  P = Pg Pg^T with Pg the svec matrix of X -> G X G^H
+        (its transpose is that of X -> G^H X G), so the term is the Gram
+        matrix of A_R Pg.  The blocks sharing R are summed as one Gram
+        matrix of U_R = [A_R^1 Pg^1 | A_R^2 Pg^2 | ...], added into
+        M[R, R] once.
         """
-        ph = [_congruence_svec(h) for h in wh]
+        ph = [_congruence_svec(g) for g in gs]
         mmat = np.zeros((self.m, self.m))
         for sup in self.supports:
             u = _scaled_rows(sup, ph)
             mmat[sup.index] += u @ u.T
         return mmat
 
-    def factor(self, wh):
-        """Cholesky factor of the Schur matrix for scalings ``wh``, as a solver callable.
+    def factor(self, gs):
+        """Cholesky factor of the Schur matrix for scalings W = G G^H, as a solver callable.
+
+        ``gs`` holds one stack of G per group, as :meth:`schur` takes them.
 
         On a program with the block-arrow structure of :class:`_Arrow`
         (k local supports) it factors one r x r pivot per local support
@@ -540,8 +552,8 @@ class _Standard:
         """
         arrow = self.arrow
         if not arrow.local:
-            return _arrow_solver([], self.schur(wh), arrow.perm)
-        ph = [_congruence_svec(h) for h in wh]
+            return _arrow_solver([], self.schur(gs), arrow.perm)
+        ph = [_congruence_svec(g) for g in gs]
         pivots = []
         for sup in arrow.local:
             u = _scaled_rows(sup, ph)
@@ -574,13 +586,14 @@ def _basis(n):
 
 
 def _congruence_svec(h):
-    """svec matrices of X -> h X h for a stack of Hermitian h, (B, n*n, n*n).
+    """svec matrices of X -> h X h^H for a stack of any square h, (B, n*n, n*n).
 
-    Row c is svec(h E_c h) for the c-th svec basis matrix E_c; since the
-    map is self-adjoint and svec an isometry, each matrix is symmetric.
-    With (p, q) running over the pairs P = [0..n) ++ iu, Q = [0..n) ++ ju,
-    (h E_ij h)_pq = h_pi conj(h_qj) is a1 = h[P, P] * conj(h[Q, Q]) and
-    (h E_ji h)_pq is a2 = h[P, Q] * conj(h[Q, P]); the diagonal, real and
+    Column c is svec(h E_c h^H) for the c-th svec basis matrix E_c.  Since
+    svec is an isometry, the transpose is the svec matrix of X -> h^H X h,
+    and for Hermitian h the matrix is symmetric.  With (p, q) running over
+    the pairs P = [0..n) ++ iu, Q = [0..n) ++ ju, (h E_ij h^H)_pq =
+    h_pi conj(h_qj) is a1 = h[P, P] * conj(h[Q, Q]) and (h E_ji h^H)_pq is
+    a2 = h[P, Q] * conj(h[Q, P]); the diagonal, real and
     imaginary basis matrices take a1, (a1 + a2) / sqrt2 and
     i (a1 - a2) / sqrt2, and svec reads them off as Re, sqrt2 Re, sqrt2 Im.
     """
@@ -606,33 +619,47 @@ def _congruence_svec(h):
     return out
 
 
-def _eig_pow(x, *powers):
-    """The given powers of each PD matrix in a stack, from one eigh call."""
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    # relative floor keeps the condition number bounded when a block collapses
-    vals = np.maximum(vals, np.maximum(vals[:, -1:], 1e-250) * 1e-16)
-    vecs_h = dagger(vecs)
-    return [(vecs * vals[:, None, :] ** p) @ vecs_h for p in powers]
+def _nt_scaling(x, s):
+    """Nesterov-Todd scaling of each pair in a stack: (G, lam) with
+    G^-1 X G^-H = G^H S G = diag(lam), so that W = G G^H has W S W = X.
 
-
-def _max_step(z, dz):
-    """Largest a >= 0 with z + a*dz >= 0 in every block of a stack, for z > 0."""
+    From S = R R^H and R^H X R = Q diag(lam)^2 Q^H, G = R^-H Q diag(lam)^1/2
+    (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998): one Cholesky and one
+    eigendecomposition per stack.
+    """
     try:
-        low = np.linalg.cholesky(z)
+        r = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        n = z.shape[-1]
-        ridge = 1e-12 * np.trace(z, axis1=1, axis2=2).real / n
-        low = np.linalg.cholesky(z + ridge[:, None, None] * np.eye(n))
-    li = np.linalg.inv(low)
-    lam = float(np.linalg.eigvalsh(hermitize(li @ dz @ dagger(li)))[:, 0].min())
-    if lam >= -1e-16:
-        return np.inf
-    return -1.0 / lam
+        n = s.shape[-1]
+        ridge = 1e-12 * np.trace(s, axis1=1, axis2=2).real / n
+        r = np.linalg.cholesky(s + ridge[:, None, None] * np.eye(n))
+    lam2, q = np.linalg.eigh(hermitize(dagger(r) @ x @ r))
+    # relative floor keeps the condition number bounded when a block collapses
+    lam = np.sqrt(np.maximum(lam2, np.maximum(lam2[:, -1:], 1e-250) * 1e-16))
+    g = dagger(np.linalg.inv(r)) @ (q * np.sqrt(lam)[:, None, :])
+    return g, lam
 
 
-def _step_length(zs, dzs, gamma=1.0):
-    """min(1, gamma * largest step keeping every stack of ``zs`` PSD along ``dzs``)."""
-    return min(1.0, gamma * min(_max_step(z, dz) for z, dz in zip(zs, dzs)))
+def _max_step(lam, dz):
+    """Largest a >= 0 with diag(lam) + a*dz >= 0, for each block of a stack with lam > 0; inf where none binds."""
+    rt = 1.0 / np.sqrt(lam)
+    low = np.linalg.eigvalsh(dz * rt[:, :, None] * rt[:, None, :])[:, 0]
+    return np.where(low < -1e-16, -1.0 / np.minimum(low, -1e-16), np.inf)
+
+
+def _step_lengths(lams, dxs, dss, gamma=1.0):
+    """Primal and dual steps, min(1, gamma * largest step keeping X, S PSD).
+
+    ``dxs`` and ``dss`` are the directions in the scaled frame,
+    G^-1 dX G^-H and G^H dS G, where X and S are diag(lam): both sides of
+    a group take one eigenvalue call.
+    """
+    ap = ad = np.inf
+    for lam, dx, ds in zip(lams, dxs, dss):
+        steps = _max_step(np.concatenate([lam, lam]), np.concatenate([dx, ds]))
+        ap = min(ap, float(steps[: len(lam)].min()))
+        ad = min(ad, float(steps[len(lam) :].min()))
+    return min(1.0, gamma * ap), min(1.0, gamma * ad)
 
 
 def _inner(xs, ys):
@@ -736,62 +763,46 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
             return finish("numerical_error", "iterates diverged", use_best=True)
 
         # Nesterov-Todd scaling point, one batched call per group
-        W, Wh, Whi, V = [], [], [], []
         try:
-            for x, s in zip(X, S):
-                s_h, s_hi = _eig_pow(s, 0.5, -0.5)
-                (t_h,) = _eig_pow(s_h @ x @ s_h, 0.5)
-                w = hermitize(s_hi @ t_h @ s_hi)
-                w_h, w_hi = _eig_pow(w, 0.5, -0.5)
-                W.append(w)
-                Wh.append(w_h)
-                Whi.append(w_hi)
-                V.append(hermitize((w_hi @ x @ w_hi + w_h @ s @ w_h) / 2.0))
+            G, lam = zip(*(_nt_scaling(x, s) for x, s in zip(X, S)))
         except np.linalg.LinAlgError:
             return finish("numerical_error", "scaling-point factorization failed", use_best=True)
-
-        try:
-            v_eigs = [np.linalg.eigh(v) for v in V]
-        except np.linalg.LinAlgError:
-            return finish("numerical_error", "scaled-point eigendecomposition failed", use_best=True)
-        vv = [v @ v for v in V]
+        W = [hermitize(g @ dagger(g)) for g in G]
         wrdw = [w @ r @ w for w, r in zip(W, Rd)]
 
         msolve = None  # frees the previous factor before the next m x m matrix is built
         try:
-            msolve = std.factor(Wh)
+            msolve = std.factor(G)
         except (np.linalg.LinAlgError, ValueError):
             return finish("numerical_error", "Schur complement factorization failed", use_best=True)
 
         def direction(rv):
-            # dX + W dS W = Rc,  A dX = rp,  A^T dy + dS = Rd
-            rc = []
-            for (lam, q), r, w_h in zip(v_eigs, rv, Wh):
-                u = dagger(q) @ r @ q
-                denom = lam[:, :, None] + lam[:, None, :]
-                z = q @ (2.0 * u / denom) @ dagger(q)
-                rc.append(hermitize(w_h @ z @ w_h))
+            # dX + W dS W = G Z G^H with diag(lam) Z + Z diag(lam) = 2 rv,
+            # A dX = rp,  A^T dy + dS = Rd; returns the step and its scaled
+            # parts G^-1 dX G^-H = Z - G^H dS G and G^H dS G
+            z = [2.0 * r / (v[:, :, None] + v[:, None, :]) for r, v in zip(rv, lam)]
+            rc = [g @ zg @ dagger(g) for g, zg in zip(G, z)]
             dy = msolve(rp - std.a_dot([c - t for c, t in zip(rc, wrdw)]))
             dS = [hermitize(r - a) for r, a in zip(Rd, std.at_y(dy))]
-            dX = [hermitize(c - w @ ds @ w) for c, w, ds in zip(rc, W, dS)]
-            return dX, dy, dS
+            ss = [dagger(g) @ ds @ g for g, ds in zip(G, dS)]
+            sx = [zg - t for zg, t in zip(z, ss)]
+            dX = [hermitize(g @ t @ dagger(g)) for g, t in zip(G, sx)]
+            return dX, dy, dS, sx, ss
 
         try:
             # predictor
-            dXa, dya, dSa = direction([-t for t in vv])
-            ap, ad = _step_length(X, dXa), _step_length(S, dSa)
+            dXa, dya, dSa, sxa, ssa = direction([-e * (v**2)[:, None, :] for e, v in zip(eyes, lam)])
+            ap, ad = _step_lengths(lam, sxa, ssa)
             mu_aff = _inner([x + ap * d for x, d in zip(X, dXa)], [s + ad * d for s, d in zip(S, dSa)]) / nu
             sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
             # corrector
-            rv = []
-            for e, t, w_h, w_hi, dxa, dsa in zip(eyes, vv, Wh, Whi, dXa, dSa):
-                dxs = w_hi @ dxa @ w_hi
-                dss = w_h @ dsa @ w_h
-                cross = (dxs @ dss + dss @ dxs) / 2.0
-                rv.append(sigma * mu * e - t - cross)
-            dX, dy, dS = direction(rv)
-            ap, ad = _step_length(X, dX, 0.98), _step_length(S, dS, 0.98)
+            rv = [
+                e * (sigma * mu - v**2)[:, None, :] - (dxs @ dss + dss @ dxs) / 2.0
+                for e, v, dxs, dss in zip(eyes, lam, sxa, ssa)
+            ]
+            dX, dy, dS, sx, ss = direction(rv)
+            ap, ad = _step_lengths(lam, sx, ss, 0.98)
         except np.linalg.LinAlgError:
             return finish("numerical_error", "step-length factorization failed", use_best=True)
         X = [hermitize(x + ap * d) for x, d in zip(X, dX)]

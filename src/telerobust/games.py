@@ -137,10 +137,22 @@ class CorrelationGame:
         return len(self.targets)
 
 
+def _pulled(xi, u, d_spec):
+    """(1 (x) U)^dag Xi (1 (x) U): the target seen before the correction U."""
+    full = tensor(np.eye(d_spec), u)
+    return dagger(full) @ xi @ full
+
+
 def _overlap(y, xi, u, d_spec):
     """tr[(1 (x) U) Y (1 (x) U)^dag Xi] for Hermitian Y, Xi."""
-    full = tensor(np.eye(d_spec), u)
-    return float(np.vdot(dagger(full) @ xi @ full, y).real)
+    return float(np.vdot(_pulled(xi, u, d_spec), y).real)
+
+
+def _relabel_table(ys, game, us, d_spec):
+    """f(b) * _overlap(ys[a], xi_b, us[b]) at [b, a], with each pulled target formed once per b."""
+    f = game.scores
+    pulled = [_pulled(xi, u, d_spec) for xi, u in zip(game.targets, us)]
+    return np.array([[f[b] * float(np.vdot(k, y).real) for y in ys] for b, k in enumerate(pulled)])
 
 
 def _polar_factor(mat):
@@ -234,9 +246,7 @@ def game_score(game, instr, corrections=None, relabelings="off"):
         for _ in range(12):
             # best deterministic relabeling at fixed corrections: each
             # instrument outcome reports the game outcome paying most
-            table = np.array(
-                [[f[b] * _overlap(ys[a], game.targets[b], us[b], d_spec) for a in range(n_a)] for b in range(n_b)]
-            )
+            table = _relabel_table(ys, game, us, d_spec)
             cols = np.argmax(table, axis=0)
             for b in range(n_b):
                 if f[b] <= 0.0:
@@ -246,9 +256,7 @@ def game_score(game, instr, corrections=None, relabelings="off"):
                     continue
                 y_eff = f[b] * sum(ys[a] for a in picked)
                 _, us[b] = _best_unitary(y_eff, game.targets[b], corrections, d_spec, d_b)
-            table = np.array(
-                [[f[b] * _overlap(ys[a], game.targets[b], us[b], d_spec) for a in range(n_a)] for b in range(n_b)]
-            )
+            table = _relabel_table(ys, game, us, d_spec)
             total = float(np.max(table, axis=0).sum())
             if total <= prev + 1e-12:
                 break

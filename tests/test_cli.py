@@ -177,6 +177,18 @@ class TestExitCodes:
         assert code == 4
         assert "'numerical_error'" in capsys.readouterr().err
 
+    def test_scaling_failure_exits_4(self, files, monkeypatch, capsys):
+        """A LinAlgError in the Nesterov-Todd scaling is a failed solve (4)."""
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        code = cli.main(["rot", "compute", "--instrument", str(files["ideal2"])])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "'numerical_error'" in err and "scaling-point factorization failed" in err
+
     def test_degenerate_benchmark_exits_5(self, files, monkeypatch, capsys):
         monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
         code = cli.main(

@@ -133,6 +133,74 @@ def test_step_length_failure_is_a_numerical_error(monkeypatch):
         solve_checked(_min_trace_problem())
 
 
+def test_scaling_failure_is_a_numerical_error(monkeypatch):
+    """A Cholesky of S that fails again with its ridge ends the solve as numerical_error."""
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    sol = solve(_min_trace_problem())
+    assert sol.status == "numerical_error"
+    assert sol.message == "scaling-point factorization failed"
+    with pytest.raises(SolverError, match="scaling-point factorization failed"):
+        solve_checked(_min_trace_problem())
+
+
+def test_scaling_cholesky_retries_with_a_ridge(monkeypatch):
+    """When the Cholesky of S fails, S + 1e-12 tr(S)/n I is factored instead."""
+    real, calls = np.linalg.cholesky, []
+
+    def fail_first(a):
+        calls.append(a)
+        if len(calls) % 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    want = solve(_min_trace_problem())
+    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    sol = solve(_min_trace_problem())
+    assert sol.status == "optimal" and abs(sol.primal_value - want.primal_value) <= 1e-8
+    assert len(calls) == 2 * (sol.iterations - 1)
+    for s, shifted in zip(calls[::2], calls[1::2]):
+        n = s.shape[-1]
+        ridge = 1e-12 * np.trace(s, axis1=1, axis2=2).real / n
+        np.testing.assert_array_equal(shifted, s + ridge[:, None, None] * np.eye(n))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_each_iteration_factors_once_per_size_group(d, monkeypatch):
+    """Per iteration and size group: one Cholesky, one inverse, one eigh and
+    two eigvalsh (one per step length, X and S together) on a Bell-isotropic
+    dual solve.
+
+    The iteration's calls each take one stack (B, n, n) of a size group;
+    the final report takes single blocks, so it is not counted.
+    """
+    prob = rot_dual_problem(build_instrument(bell_povm(d), isotropic_state(0.7, d)))[0]
+    calls = {}
+
+    def counted(name, real):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                calls[name, a.shape[-1]] = calls.get((name, a.shape[-1]), 0) + 1
+            return real(a, *args, **kwargs)
+
+        return call
+
+    limits = {"cholesky": 1, "inv": 1, "eigh": 1, "eigvalsh": 2}
+    for name in limits:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    steps = sol.iterations - 1  # the last iteration stops at the optimality test
+    for n in {g.n for g in _Standard(prob).groups}:
+        assert calls["eigh", n] == steps
+        for name, limit in limits.items():
+            assert calls.get((name, n), 0) <= limit * steps, (name, n, calls)
+    assert {n for _, n in calls} == {g.n for g in _Standard(prob).groups}
+
+
 def test_determinism():
     phi = max_entangled(2)
     values = []
@@ -291,15 +359,12 @@ def _assert_row_operations_match(std, ab, rng):
     ref = np.sqrt(sum((a**2).sum(axis=1) for a in ab))
     np.testing.assert_allclose(std.row_norms(), ref, rtol=1e-14, atol=0)
 
-    wh = []
-    for n in std.sizes:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        wh.append(g @ dagger(g) + np.eye(n))
+    gs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + n * np.eye(n) for n in std.sizes]
     ref = np.zeros((std.m, std.m))
     for k, n in enumerate(std.sizes):
-        w = wh[k] @ wh[k]
+        w = gs[k] @ dagger(gs[k])
         ref += ab[k] @ svec_stack(w @ smat_stack(ab[k], n) @ w).T
-    got = std.schur(_stacks(std, wh))
+    got = std.schur(_stacks(std, gs))
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -356,11 +421,16 @@ def test_schur_matches_dense_reference_on_robustness_programs(name):
 
 
 def _rand_scalings(std, rng):
-    """One random positive definite scaling W^(1/2) per block, stacked per group."""
+    """One random scaling G = H U per block (W = G G^H = H^2), stacked per group.
+
+    H is positive definite and U unitary, so G is not Hermitian, as the
+    solver's Nesterov-Todd factors are not.
+    """
     out = []
     for g in std.groups:
         a = rng.standard_normal((len(g.idx), g.n, g.n)) + 1j * rng.standard_normal((len(g.idx), g.n, g.n))
-        out.append(a @ dagger(a) + np.eye(g.n))
+        u = np.linalg.qr(rng.standard_normal((len(g.idx), g.n, g.n)) + 1j * rng.standard_normal(a.shape))[0]
+        out.append((a @ dagger(a) + np.eye(g.n)) @ u)
     return out
 
 
@@ -446,14 +516,22 @@ def test_singular_pivot_takes_the_dense_ridge():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16])
 def test_congruence_matches_explicit_products(n):
-    """Row c of each Ph is svec(h E_c h), for the svec basis matrices E_c."""
+    """Column c of each Ph is svec(h E_c h^H), for the svec basis matrices E_c.
+
+    For Hermitian h the matrix is symmetric, so its rows match as well.
+    """
     rng = np.random.default_rng(n)
-    h = np.stack([_rand_herm(rng, n) for _ in range(2)])
     basis = conic._basis(n)
+    h = np.stack([_rand_herm(rng, n) for _ in range(2)])
     got = conic._congruence_svec(h)
     for b in range(2):
         ref = svec_stack(h[b] @ basis @ h[b])
         assert np.abs(got[b] - ref).max() <= 1e-13 * np.abs(ref).max()
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    got = conic._congruence_svec(g)
+    for b in range(2):
+        ref = svec_stack(g[b] @ basis @ dagger(g[b]))
+        assert np.abs(got[b].T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_stored_rows_compile_to_svec_rows():

@@ -14,7 +14,9 @@ from telerobust.games import (
     classical_game_strategy,
     fidelity_game_of,
     game_score,
+    _overlap,
     _pullback_target,
+    _relabel_table,
 )
 from telerobust.qobjects import (
     DensityMatrix,
@@ -151,6 +153,22 @@ class TestGameScore:
             off = game_score(g, instr, UnitaryFamily("pauli_group"))
             on = game_score(g, instr, UnitaryFamily("pauli_group"), relabelings="on")
             assert on >= off - 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabel_table_equals_per_entry_overlaps(self, seed):
+        """Forming each pulled target once per b leaves every entry bit-identical."""
+        rng = np.random.default_rng(seed)
+        instr = _random_instrument(rng, outcomes=3)
+        g = fidelity_game_of(pauli_six())
+        d_spec = g.spectator_dim
+        ys = [choi_apply_second(j, 2, 2, g.input_state.matrix, d_spec) for j in instr.mats]
+        members = UnitaryFamily("pauli_group").members(2)
+        us = [members[int(k)] for k in rng.integers(0, len(members), g.outcomes)]
+        f = g.scores
+        old = np.array(
+            [[f[b] * _overlap(ys[a], g.targets[b], us[b], d_spec) for a in range(len(ys))] for b in range(g.outcomes)]
+        )
+        assert np.array_equal(_relabel_table(ys, g, us, d_spec), old)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

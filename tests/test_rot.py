@@ -46,6 +46,7 @@ from telerobust.rot import (
     rot_primal,
     rot_primal_problem,
 )
+from telerobust.simorder import apply_classical_sim, rand_classical_sim
 
 
 def _bell_projectors(d=2):
@@ -398,20 +399,50 @@ def _local_unitary(instr, rng):
     return TeleportationInstrument([u @ j @ dagger(u) for j in instr.mats], instr.dims)
 
 
+def _random_entangled(rng):
+    """A Haar-random basis measurement on a random pure d = 2 state (T about 0.1-0.5)."""
+    w = rand_unitary(4, rng)
+    basis = Povm([np.outer(w[:, a], w[:, a].conj()) for a in range(4)], (2, 2))
+    return build_instrument(basis, rand_state((2, 2), rank=1, rng=rng))
+
+
+def _with_zero_outcome(instr):
+    return TeleportationInstrument(list(instr.mats) + [np.zeros_like(instr.mats[0])], instr.dims)
+
+
 @settings(deadline=None, max_examples=4)
 @given(st.integers(0, 10_000))
 def test_robustness_is_invariant_under_relabelling_and_local_unitaries(seed):
-    """T of a random entangled d = 2 instrument (a Haar-random basis
-    measurement on a random pure state, T about 0.1-0.5) is unchanged by
-    an outcome permutation and by local unitaries on V and B."""
+    """T of a random entangled d = 2 instrument is unchanged by an outcome
+    permutation and by local unitaries on V and B."""
     rng = np.random.default_rng(seed)
-    w = rand_unitary(4, rng)
-    basis = Povm([np.outer(w[:, a], w[:, a].conj()) for a in range(4)], (2, 2))
-    instr = build_instrument(basis, rand_state((2, 2), rank=1, rng=rng))
+    instr = _random_entangled(rng)
     permuted = TeleportationInstrument([instr.mats[a] for a in rng.permutation(4)], instr.dims)
     t, t_perm, t_rot = rot_many([instr, permuted, _local_unitary(instr, rng)])
     assert abs(t_perm - t) <= 1e-7
     assert abs(t_rot - t) <= 1e-7
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_zero_outcome_and_classical_relabelling(seed):
+    """Appending a zero outcome leaves T unchanged, to 1e-7; a random
+    classical relabelling (a stochastic kernel p(b|a) on the outcomes)
+    does not increase it.  The zero outcome makes its blocks of X and S
+    singular at the optimum."""
+    rng = np.random.default_rng(seed)
+    instr = _random_entangled(rng)
+    relabelled = apply_classical_sim(instr, rand_classical_sim(instr.outcomes, rng))
+    t, t_zero, t_relabelled = rot_many([instr, _with_zero_outcome(instr), relabelled])
+    assert abs(t_zero - t) <= 1e-7
+    assert t_relabelled <= t + 1e-7
+
+
+@pytest.mark.parametrize("d, expected", [(2, 1.0), (3, 2.0)])
+def test_ideal_instrument_with_a_zero_outcome_keeps_the_closed_form(d, expected):
+    """Bell measurement on a maximally entangled state (p = 1) plus a zero outcome: T = d - 1."""
+    instr = _with_zero_outcome(build_instrument(bell_povm(d), isotropic_state(1.0, d)))
+    assert abs(rot(instr) - expected) <= 1e-6
 
 
 class TestEntanglementRobustness:
