@@ -207,7 +207,7 @@ def cmd_instrument_fit(args):
         raise FileFormatError(
             str(args.data),
             f"tomography data fit with residual {residual:.3e} >= tol {args.tol:g}; "
-            "the raw fit is not a valid instrument, so nothing was saved",
+            "no valid instrument reproduces the data, so nothing was saved",
         )
     save_experiment(args.save, {"instrument": instr})
     return ResultRecord(values={"residual": residual, "outcomes": instr.outcomes})
@@ -434,6 +434,7 @@ def _int_at_least(low, what):
 
 _positive_int = _int_at_least(1, "positive integer")
 _non_negative_int = _int_at_least(0, "non-negative integer")
+_dimension = _int_at_least(2, "dimension of at least 2")
 
 
 def _leaf(p, handler, tol=None, record=True):
@@ -483,7 +484,7 @@ def build_parser():
     p.add_argument("--save", required=True)
     _leaf(p, cmd_instrument_fit, tol=1e-4)
     p = in_sub.add_parser("ideal", help="Bell measurement on a maximally entangled pair")
-    p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
+    p.add_argument("--d", type=_dimension, default=2, help="local dimension (default 2)")
     p.add_argument("--save", required=True)
     _leaf(p, cmd_instrument_ideal)
     p = in_sub.add_parser("realize", help="state-and-measurement realization of Choi data")
@@ -539,7 +540,7 @@ def build_parser():
     p.add_argument("--classical", type=_non_negative_int, default=50, help="classical recipes to try")
     p.add_argument("--quantum", type=_non_negative_int, default=20, help="quantum recipes to try")
     p.add_argument("--mixtures", type=_non_negative_int, default=20, help="convex mixtures to try")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled recipes (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="seed for the sampled recipes (default 0)")
     _leaf(p, cmd_sim_check, tol=1e-6)
 
     p = sub.add_parser("fidelity", help="average teleportation fidelity over probe states")

@@ -15,13 +15,12 @@ differ; see the regression test that pins both numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     NumericalError,
-    dagger,
     hermitize,
     max_entangled,
     min_eig,
@@ -38,6 +37,8 @@ from .qobjects import (
     choi_adjoint,
     choi_apply,
     choi_apply_second,
+    kraus_choi,
+    rand_kraus,
     weyl_family,
 )
 from .rot import RotDualSolution, classical_max
@@ -80,7 +81,6 @@ class DiscriminationInstrument:
 
     subchannels: list
     multiplicities: list | None = None
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if not self.subchannels:
@@ -112,18 +112,17 @@ class DiscriminationInstrument:
                 first[key] = len(branches)
                 branches.append((m, d))
                 mults.append(k)
-        ops = [ChoiOperator(m, d, d, validate=self.validate) for m, d in branches]
+        ops = [ChoiOperator(m, d, d) for m, d in branches]
         if len({o.in_dim for o in ops}) != 1:
             raise ValueError("subchannels differ in dimension")
         self.subchannels, self.multiplicities = ops, mults
-        if self.validate:
-            d = ops[0].in_dim
-            total = sum(
-                k * partial_trace(o.matrix, (d, d), keep=(0,))
-                for k, o in zip(mults, ops)
-            )
-            if np.linalg.norm(total - np.eye(d) / d) > _SUM_TOL:
-                raise ValueError("subchannels do not sum to a trace-preserving map")
+        d = ops[0].in_dim
+        total = sum(
+            k * partial_trace(o.matrix, (d, d), keep=(0,))
+            for k, o in zip(mults, ops)
+        )
+        if np.linalg.norm(total - np.eye(d) / d) > _SUM_TOL:
+            raise ValueError("subchannels do not sum to a trace-preserving map")
 
     @property
     def dim(self):
@@ -196,27 +195,23 @@ class DiscrimConstruction:
             )
 
 
-def _branch_scores(e: DiscriminationInstrument, j):
-    """d_V^2 tr[(I (x) E_x)[J] phi+] for every distinct branch."""
-    d = e.dim
-    phi = max_entangled(d)
-    return [d * d * float(np.vdot(phi, choi_apply_second(c, d, d, j, d)).real) for c in e.mats]
-
-
 def p_succ(e: DiscriminationInstrument, instr: TeleportationInstrument) -> float:
     """Guessing probability of an instrument-assisted player.
 
-    Evaluates d_V^2 sum_a max_x tr[(I (x) E_x)[J_a] phi+]: the optimal
-    post-processing of the measurement outcome is deterministic
-    guessing, realized per outcome by the argmax over branches (ties go
-    to the lowest branch index).
+    Evaluates d_V^2 sum_a max_x tr[(I (x) E_x)[J_a] phi+], read as
+    sum_a max_x tr[P_x J_a] with the payoff operators
+    P_x = d_V^2 (I (x) E_x^dag)[phi+] that the classical benchmark
+    maximizes too: the optimal post-processing of the measurement
+    outcome is deterministic guessing, realized per outcome by the
+    argmax over branches.
     """
     d = e.dim
     if instr.dims != (d, d):
         raise ValueError(
             f"instrument dims {instr.dims} do not match the branch dimension {d}"
         )
-    return float(sum(np.max(_branch_scores(e, j)) for j in instr.mats))
+    payoffs = _guess_pullbacks(e)
+    return float(sum(max(float(np.vdot(p, j).real) for p in payoffs) for j in instr.mats))
 
 
 def p_succ_strategy(e: DiscriminationInstrument, strategy: Strategy) -> float:
@@ -350,23 +345,10 @@ def advantage_ratio(e: DiscriminationInstrument, instr: TeleportationInstrument,
 
 def pauli_twirl_instrument(d=2) -> DiscriminationInstrument:
     """Branches rho -> W_k rho W_k^dag / d^2 over the shift-and-phase group."""
-    phi = max_entangled(d)
-    chois = []
-    for w in weyl_family(d):
-        full = tensor(np.eye(d), w)
-        chois.append((full @ phi @ dagger(full)) / (d * d))
-    return DiscriminationInstrument(chois)
+    return DiscriminationInstrument([kraus_choi(w) / (d * d) for w in weyl_family(d)])
 
 
 def rand_discrimination_instrument(d, branches=3, rng=None) -> DiscriminationInstrument:
     """Random branch family: Kraus pieces of a Haar-random channel."""
     rng = np.random.default_rng(rng)
-    g = rng.normal(size=(branches * d, d)) + 1j * rng.normal(size=(branches * d, d))
-    q, _ = np.linalg.qr(g)
-    phi = max_entangled(d)
-    chois = []
-    for i in range(branches):
-        kraus = q[i * d : (i + 1) * d, :]
-        full = tensor(np.eye(d), kraus)
-        chois.append(full @ phi @ dagger(full))
-    return DiscriminationInstrument(chois)
+    return DiscriminationInstrument([kraus_choi(k) for k in rand_kraus(d, d, branches, rng)])

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("identity_only", "pauli_group", "seesaw_polished")
+_POLISH_STEPS = 20
 
 
 @dataclass
@@ -61,27 +62,32 @@ class UnitaryFamily:
 
     ``identity_only`` applies no correction, ``pauli_group`` picks the
     best discrete shift-and-phase (Weyl) operator, and
-    ``seesaw_polished`` refines the best group member with
-    ``iterations`` monotone polar-update steps.  Every family is finite,
+    ``seesaw_polished`` refines the best group member with up to 20
+    monotone polar-update steps.  Every family is finite,
     so scores computed over it are certified lower bounds on the
     unrestricted optimum over all unitaries.
     """
 
     kind: str = "identity_only"
-    iterations: int = 20
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown unitary family kind {self.kind!r}")
-        self.iterations = int(self.iterations)
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
 
     def members(self, d):
         """Starting unitaries for output dimension ``d``."""
         if self.kind == "identity_only":
             return [np.eye(d, dtype=complex)]
         return weyl_family(d)
+
+    def starts(self, d, n):
+        """Correction assignments a see-saw over ``n`` outcomes starts from:
+        all identity, then (unless ``identity_only``) the group pattern."""
+        starts = [[np.eye(d, dtype=complex)] * n]
+        if self.kind != "identity_only":
+            members = self.members(d)
+            starts.append([members[b % len(members)] for b in range(n)])
+        return starts
 
 
 @dataclass
@@ -177,7 +183,7 @@ def _best_unitary(y, xi, family, d_spec, d_out):
     y4 = y.reshape(d_spec, d_out, d_spec, d_out)
     x4 = xi.reshape(d_spec, d_out, d_spec, d_out)
     u = best_u
-    for _ in range(family.iterations):
+    for _ in range(_POLISH_STEPS):
         grad = np.einsum("jqip,pr,irjs->qs", x4, u, y4)
         u_new = _polar_factor(grad)
         val_new = _overlap(y, xi, u_new, d_spec)
@@ -235,12 +241,8 @@ def game_score(game, instr, corrections=None, relabelings="off"):
         return total
 
     n_a, n_b = instr.outcomes, game.outcomes
-    members = corrections.members(d_b)
-    starts = [[np.eye(d_b, dtype=complex)] * n_b]
-    if corrections.kind != "identity_only":
-        starts.append([members[b % len(members)] for b in range(n_b)])
     best_total = -np.inf
-    for start in starts:
+    for start in corrections.starts(d_b, n_b):
         us = list(start)
         prev = -np.inf
         for _ in range(12):
@@ -283,8 +285,7 @@ def _classical_sdp(game, units, tol):
     sigma = game.input_state.matrix
     payoffs = [None] * game.outcomes
     for b in np.flatnonzero(game.scores > 0.0):
-        full = tensor(np.eye(d_spec), units[b])
-        xi_rot = dagger(full) @ game.targets[b] @ full
+        xi_rot = _pulled(game.targets[b], units[b], d_spec)
         payoffs[b] = game.scores[b] * _pullback_target(sigma, xi_rot, d_spec, d_v, d_b)
     return classical_max(payoffs, (d_v, d_b), tol, what="classical game benchmark")
 
@@ -305,12 +306,8 @@ def classical_game_strategy(game, corrections=None, tol=1e-9, rounds=6):
     if float(np.sum(game.scores)) == 0.0:
         return 0.0, [np.zeros((d_v * d_b, d_v * d_b))] * game.outcomes, [np.eye(d_b)] * game.outcomes
     n_b = game.outcomes
-    members = corrections.members(d_b)
-    starts = [[np.eye(d_b, dtype=complex)] * n_b]
-    if corrections.kind != "identity_only":
-        starts.append([members[b % len(members)] for b in range(n_b)])
     best = (-np.inf, None, None)
-    for start in starts:
+    for start in corrections.starts(d_b, n_b):
         us = list(start)
         prev = -np.inf
         for _ in range(rounds):

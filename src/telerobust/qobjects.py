@@ -46,6 +46,8 @@ __all__ = [
     "rand_povm",
     "rand_unitary",
     "weyl",
+    "kraus_choi",
+    "rand_kraus",
     "bell_povm",
     "pauli",
     "pauli_six",
@@ -145,18 +147,15 @@ class TeleportationInstrument:
 
     def __post_init__(self):
         self.dims = (int(self.dims[0]), int(self.dims[1]))
-        ops = []
-        for j in self.choi_ops:
-            if isinstance(j, ChoiOperator):
-                ops.append(ChoiOperator(j.matrix, self.dims[0], self.dims[1], validate=self.validate))
-            else:
-                ops.append(ChoiOperator(j, self.dims[0], self.dims[1], validate=self.validate))
-        self.choi_ops = ops
+        self.choi_ops = [
+            ChoiOperator(j.matrix if isinstance(j, ChoiOperator) else j, *self.dims, validate=self.validate)
+            for j in self.choi_ops
+        ]
         if self.validate:
             _, residual = validate_no_signalling(self, strict=False)
             if residual > NS_TOL:
                 raise ValueError(f"no-signalling residual {residual:.3e} exceeds {NS_TOL:g}")
-            total = sum(np.trace(j.matrix).real for j in ops)
+            total = sum(np.trace(j.matrix).real for j in self.choi_ops)
             if abs(total - 1.0) > NS_TOL:
                 raise ValueError(
                     f"outcome probabilities on the entangled input sum to {total:.6g}, not 1"
@@ -229,6 +228,14 @@ def apply_subchannel(j, omega):
     return choi_apply(mat, d_in, d_out, om)
 
 
+def _no_signalling(mats, d_v, d_b):
+    """(marginal, residual) of a Choi family: marginal = tr_V sum_a J_a and
+    residual the Frobenius distance of sum_a J_a from (1/d_V) 1 (x) marginal."""
+    total = sum(mats)
+    marginal = partial_trace(total, (d_v, d_b), keep=(1,))
+    return marginal, float(frobenius_norm(total - tensor(np.eye(d_v), marginal) / d_v))
+
+
 def validate_no_signalling(instr: TeleportationInstrument, strict=True):
     """Extract Bob's marginal and the no-signalling residual.
 
@@ -236,15 +243,12 @@ def validate_no_signalling(instr: TeleportationInstrument, strict=True):
     sum_a J_a from (1/d_V) 1 (x) marginal.  With ``strict`` a residual
     beyond 1e-6 raises.
     """
-    d_v, d_b = instr.dims
-    total = sum(instr.mats)
-    marginal = partial_trace(total, (d_v, d_b), keep=(1,))
-    residual = frobenius_norm(total - tensor(np.eye(d_v), marginal) / d_v)
+    marginal, residual = _no_signalling(instr.mats, *instr.dims)
     if strict and residual > 1e-6:
         raise ValueError(f"no-signalling residual {residual:.3e} flags an invalid instrument")
     tr = np.trace(marginal).real
-    rho = DensityMatrix(marginal / tr if tr > 0 else marginal, (d_b,), validate=False)
-    return rho, float(residual)
+    rho = DensityMatrix(marginal / tr if tr > 0 else marginal, (instr.dims[1],), validate=False)
+    return rho, residual
 
 
 def realize_from_choi(ops) -> tuple[DensityMatrix, Povm]:
@@ -260,7 +264,6 @@ def realize_from_choi(ops) -> tuple[DensityMatrix, Povm]:
     for x in mats:
         if x.shape != (n, n) or not is_hermitian(x) or min_eig(x) < -1e-8:
             raise ValueError("Choi family must be Hermitian PSD")
-    total = sum(mats)
     # infer (d_V, d_B) from the instrument if given, else require square split
     if isinstance(ops, TeleportationInstrument):
         d_v, d_b = ops.dims
@@ -268,8 +271,7 @@ def realize_from_choi(ops) -> tuple[DensityMatrix, Povm]:
         d_v = d_b = int(round(np.sqrt(n)))
         if d_v * d_b != n:
             raise ValueError("pass a TeleportationInstrument for non-square dims")
-    eta = partial_trace(total, (d_v, d_b), keep=(1,))
-    residual = frobenius_norm(total - tensor(np.eye(d_v), eta) / d_v)
+    eta, residual = _no_signalling(mats, d_v, d_b)
     if residual > NS_TOL:
         raise ValueError(f"family violates no-signalling by {residual:.3e}")
 
@@ -289,11 +291,15 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     """Tomographic least-squares fit of an instrument from probe outputs.
 
     ``data[a][x]`` is the unnormalized output state for outcome ``a`` on
-    probe ``inputs.states[x]``.  Returns the fitted instrument and the
-    worst-case Frobenius residual.  Clean data is reproduced directly;
-    noisy data within ``tol`` is projected back onto the set of valid
-    instruments (nearest in trace norm); worse data is returned raw with
-    its diagnostic residual, wrapped without validation.
+    probe ``inputs.states[x]``.  Returns the fitted instrument and its
+    residual: the worst case over outcomes of the Frobenius distance
+    between the instrument's predicted outputs and the data, stacked over
+    probes.  Data whose least-squares residual reaches ``tol`` is returned
+    raw with that residual, wrapped without validation.  Otherwise a fit
+    that is already a valid instrument is returned as it is, and any other
+    is projected onto the nearest valid instrument (in trace norm); the
+    residual is then that of the projection, which may reach ``tol`` when
+    no valid instrument fits the data.
     """
     from .conic import SdpProblem, smat_stack, solve_checked, svec, svec_stack
 
@@ -310,24 +316,17 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
         design.append(svec_stack(hermitize(d_v * partial_trace(block @ basis, (d_v, d_b), keep=(1,)))).T)
     design = np.concatenate(design, axis=0)
 
-    fitted = []
-    residual = 0.0
-    for a in range(len(data)):
-        target = np.concatenate([svec(hermitize(np.asarray(s, dtype=complex))) for s in data[a]])
-        vec, *_ = np.linalg.lstsq(design, target, rcond=None)
-        j = smat_stack(vec[None, :], n)[0]
-        fitted.append(j)
-        residual = max(residual, float(np.linalg.norm(design @ vec - target)))
+    targets = [np.concatenate([svec(hermitize(np.asarray(s, dtype=complex))) for s in row]) for row in data]
+    vecs = [np.linalg.lstsq(design, t, rcond=None)[0] for t in targets]
+    fitted = list(smat_stack(vecs, n))
 
+    def misfit(vs):
+        return max(float(np.linalg.norm(design @ v - t)) for v, t in zip(vs, targets))
+
+    residual = misfit(vecs)
     if residual >= tol:
         return TeleportationInstrument(fitted, (d_v, d_b), validate=False), residual
-
-    feasible = all(min_eig(j) >= -PSD_TOL for j in fitted)
-    if feasible:
-        total = sum(fitted)
-        marg = partial_trace(total, (d_v, d_b), keep=(1,))
-        feasible = frobenius_norm(total - tensor(np.eye(d_v), marg) / d_v) <= NS_TOL
-    if feasible:
+    if all(min_eig(j) >= -PSD_TOL for j in fitted) and _no_signalling(fitted, d_v, d_b)[1] <= NS_TOL:
         return TeleportationInstrument(fitted, (d_v, d_b)), residual
 
     # nearest valid instrument in trace norm
@@ -348,7 +347,8 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     )
     prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
     sol = solve_checked(prob, what="instrument projection")
-    return TeleportationInstrument([sol.primal_blocks[j] for j in js], (d_v, d_b)), residual
+    projected = [sol.primal_blocks[j] for j in js]
+    return TeleportationInstrument(projected, (d_v, d_b)), misfit(svec_stack(projected))
 
 
 def pauli(i):
@@ -377,14 +377,20 @@ def weyl_family(d):
     return [weyl(d, m, n) for m in range(d) for n in range(d)]
 
 
+def kraus_choi(k):
+    """Choi operator (1 (x) K) phi+ (1 (x) K)^dag of rho -> K rho K^dag.
+
+    The input dimension is ``K.shape[1]``, the output ``K.shape[0]``.
+    """
+    k = np.asarray(k, dtype=complex)
+    d = k.shape[1]
+    full = tensor(np.eye(d), k)
+    return full @ max_entangled(d) @ dagger(full)
+
+
 def bell_povm(d) -> Povm:
     """Generalized Bell measurement: rank-1 projectors (1 (x) W_a) phi+ (.)."""
-    phi = max_entangled(d)
-    elems = []
-    for w in weyl_family(d):
-        u = tensor(np.eye(d), w)
-        elems.append(hermitize(u @ phi @ dagger(u)))
-    return Povm(elems, (d, d))
+    return Povm([hermitize(kraus_choi(w)) for w in weyl_family(d)], (d, d))
 
 
 def ideal_instrument(d) -> TeleportationInstrument:
@@ -441,6 +447,13 @@ def rand_unitary(d, rng=None):
     rng = np.random.default_rng(rng)
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rand_kraus(d_in, d_out, count, rng):
+    """Kraus operators K_1..K_count (d_out x d_in) of a Haar-random channel:
+    the rows of an isometry from the QR of a Ginibre matrix, split in order."""
+    q, _ = np.linalg.qr(_ginibre(rng, count * d_out, d_in))
+    return [q[i * d_out : (i + 1) * d_out, :] for i in range(count)]
 
 
 def rand_povm(dims, outcomes, rng=None) -> Povm:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrim import p_succ, rand_discrimination_instrument
 from .games import CorrelationGame, game_score
-from .linalg import dagger, hermitize, max_entangled, tensor
+from .linalg import hermitize, max_entangled
 from .qobjects import (
     ChoiOperator,
     TeleportationInstrument,
@@ -28,7 +28,9 @@ from .qobjects import (
     choi_adjoint,
     choi_apply_second,
     choi_compose,
+    kraus_choi,
     partial_trace,
+    rand_kraus,
     rand_povm,
     rand_state,
 )
@@ -43,7 +45,6 @@ __all__ = [
     "apply_quantum_sim",
     "check_monotones",
     "identity_channel_choi",
-    "unitary_channel_choi",
     "depolarizing_choi",
     "rand_channel_choi",
     "rand_classical_sim",
@@ -158,14 +159,6 @@ def identity_channel_choi(d):
     return max_entangled(d)
 
 
-def unitary_channel_choi(u):
-    """Choi operator of rho -> U rho U^dag."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    full = tensor(np.eye(d), u)
-    return full @ max_entangled(d) @ dagger(full)
-
-
 def depolarizing_choi(d):
     """Choi operator of the channel replacing every input with 1/d."""
     return np.eye(d * d, dtype=complex) / (d * d)
@@ -256,15 +249,10 @@ def rand_channel_choi(d_in, d_out=None, rng=None, branches=2):
     rng = np.random.default_rng(rng)
     d_out = d_in if d_out is None else d_out
     weights = rng.dirichlet(np.ones(branches))
-    phi = max_entangled(d_in)
     choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
     for w in weights:
-        g = rng.normal(size=(2 * d_out, d_in)) + 1j * rng.normal(size=(2 * d_out, d_in))
-        q, _ = np.linalg.qr(g)
-        for i in range(2):
-            kraus = q[i * d_out : (i + 1) * d_out, :]
-            full = tensor(np.eye(d_in), kraus)
-            choi = choi + w * (full @ phi @ dagger(full))
+        for kraus in rand_kraus(d_in, d_out, 2, rng):
+            choi = choi + w * kraus_choi(kraus)
     return hermitize(choi)
 
 

@@ -229,6 +229,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sim", "check", "--instrument", str(files["ideal2"]), "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative integer" in err
+
+    @pytest.mark.parametrize("d", ["1", "0", "two"])
+    def test_dimension_below_two_exits_2(self, tmp_path, capsys, d):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["instrument", "ideal", "--d", d, "--save", str(tmp_path / "ideal.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--d" in err and "dimension of at least 2" in err
+        assert not (tmp_path / "ideal.json").exists()
+
     def test_zero_sample_counts_check_nothing(self, files, tmp_path):
         code, rec = run_record(
             ["sim", "check", "--instrument", str(files["ideal2"]),
@@ -780,6 +796,24 @@ class TestInstrumentFlow:
         err = capsys.readouterr().err
         assert str(data_file) in err
         assert re.search(r"residual \d\.\d{3}e[-+]\d+ >= tol 0\.0001", err), err
+        assert not fit_file.exists()
+
+    def test_fit_projected_far_from_the_data_exits_3_and_saves_nothing(self, files, tmp_path, capsys):
+        """Outcome 0 of ideal teleportation alone fits exactly by least
+        squares, but the nearest one-outcome instrument (a channel) misses
+        the data by about 1.37; that residual is reported and refused."""
+        probes = pauli_six()
+        j = ideal_instrument(2).mats[0]
+        data_file = tmp_path / "one_outcome.json"
+        fit_file = tmp_path / "fitted.json"
+        save_experiment(data_file, {"data": TomographyData([[choi_apply(j, 2, 2, w.matrix) for w in probes.states]])})
+        code = cli.main(
+            ["instrument", "fit", "--inputs", str(files["pauli6"]), "--data", str(data_file), "--save", str(fit_file)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "residual 1.369e+00 >= tol 0.0001" in err, err
+        assert "raw fit" not in err
         assert not fit_file.exists()
 
 

@@ -18,17 +18,19 @@ from telerobust.discrim import (
     pauli_twirl_instrument,
     rand_discrimination_instrument,
 )
-from telerobust.linalg import NumericalError, max_entangled, tensor
+from telerobust.linalg import NumericalError, dagger, max_entangled, tensor
 from telerobust.qobjects import (
     ChoiOperator,
     DensityMatrix,
     TeleportationInstrument,
     bell_povm,
     build_instrument,
+    choi_apply_second,
     ideal_instrument,
     isotropic_state,
     rand_povm,
     rand_state,
+    weyl_family,
 )
 from telerobust.rot import RotDualSolution, classical_max, rot, rot_dual
 
@@ -72,9 +74,7 @@ class TestDiscriminationInstrument:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            DiscriminationInstrument(
-                [np.eye(4) / 4.0 * 0.5, np.eye(9) / 9.0 * 0.5], validate=False
-            )
+            DiscriminationInstrument([np.eye(4) / 4.0 * 0.5, np.eye(9) / 9.0 * 0.5])
 
     def test_choi_operator_inputs_accepted(self):
         ops = [ChoiOperator(m, 2, 2) for m in pauli_twirl_instrument(2).mats]
@@ -180,7 +180,56 @@ class TestMultiplicities:
         self._assert_equivalent(e, [instr, ideal_instrument(2)], self._strategy(rng))
 
 
+def _inline_kraus_choi(k):
+    """(1 (x) K) phi+ (1 (x) K)^dag written out, as the constructions did inline."""
+    d = k.shape[1]
+    full = tensor(np.eye(d), k)
+    return full @ max_entangled(d) @ dagger(full)
+
+
+def _p_succ_reference(e, instr):
+    """d^2 sum_a max_x tr[(I (x) E_x)[J_a] phi+], applying every branch to every J_a."""
+    d = e.dim
+    phi = max_entangled(d)
+    return sum(
+        max(d * d * np.vdot(phi, choi_apply_second(c, d, d, j, d)).real for c in e.mats)
+        for j in instr.mats
+    )
+
+
+class TestBranchConstructions:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pauli_twirl_is_unchanged(self, d):
+        old = [_inline_kraus_choi(w) / (d * d) for w in weyl_family(d)]
+        new = pauli_twirl_instrument(d).mats
+        assert len(new) == d * d and all(np.array_equal(a, b) for a, b in zip(new, old))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rand_discrimination_instrument_is_unchanged(self, seed):
+        d, branches = 3, 3
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(branches * d, d)) + 1j * rng.normal(size=(branches * d, d))
+        q, _ = np.linalg.qr(g)
+        old = [_inline_kraus_choi(q[i * d : (i + 1) * d, :]) for i in range(branches)]
+        new = rand_discrimination_instrument(d, branches, rng=seed).mats
+        assert len(new) == branches and all(np.array_equal(a, b) for a, b in zip(new, old))
+
+
 class TestPsucc:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_branch_reference_on_random_instruments(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        e = rand_discrimination_instrument(d, branches=int(rng.integers(2, 5)), rng=rng)
+        instr = build_instrument(rand_povm((d, d), int(rng.integers(1, 5)), rng=rng), rand_state((d, d), rng=rng))
+        assert abs(p_succ(e, instr) - _p_succ_reference(e, instr)) <= 1e-14
+
+    def test_matches_the_per_branch_reference_on_a_padded_task(self):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.7))
+        e, _ = build_discrimination_from_dual(rot_dual(instr))
+        assert e.multiplicities[-1] == 10_000
+        assert abs(p_succ(e, instr) - _p_succ_reference(e, instr)) <= 1e-14
+
     def test_pauli_twirl_against_ideal_teleportation_is_perfect(self):
         assert abs(p_succ(pauli_twirl_instrument(2), ideal_instrument(2)) - 1.0) <= 1e-9
 

@@ -29,8 +29,10 @@ from telerobust.qobjects import (
     choi_compose,
     fit_choi,
     ideal_instrument,
+    kraus_choi,
     pauli,
     pauli_six,
+    rand_kraus,
     rand_povm,
     rand_state,
     rand_unitary,
@@ -226,9 +228,18 @@ class TestFit:
         for a, b in zip(inst.mats, fit.mats):
             np.testing.assert_allclose(a, b, atol=1e-4)
 
+    @staticmethod
+    def _misfit(fit, probes, data):
+        """Worst outcome's Frobenius distance of predicted outputs from the data, over all probes."""
+        return max(
+            np.sqrt(sum(frobenius_norm(apply_subchannel(j, w) - s) ** 2 for w, s in zip(probes.states, row)))
+            for j, row in zip(fit.choi_ops, data)
+        )
+
     def test_consistent_but_unphysical_data_is_projected(self):
         """Outcome-dependent rescaling is invisible to least squares but
-        breaks no-signalling; the fit must land back on a valid instrument."""
+        breaks no-signalling; the fit must land back on a valid instrument,
+        reporting how far that instrument is from the data."""
         inst = ideal_instrument(2)
         probes = pauli_six()
         data = self._clean_data(inst, probes)
@@ -239,6 +250,19 @@ class TestFit:
         assert ns < 1e-7
         for a, b in zip(inst.mats, fit.mats):
             np.testing.assert_allclose(a, b, atol=5e-3)
+        assert 1.1e-3 < residual < 1.2e-3
+        assert abs(residual - self._misfit(fit, probes, data)) <= 1e-12
+
+    def test_projection_far_from_the_data_reports_its_residual(self):
+        """One outcome of ideal teleportation fits exactly by least squares,
+        but the nearest one-outcome instrument is a channel far from it."""
+        inst = ideal_instrument(2)
+        probes = pauli_six()
+        data = self._clean_data(inst, probes)[:1]
+        fit, residual = fit_choi(probes, data)
+        assert fit.outcomes == 1
+        assert abs(residual - self._misfit(fit, probes, data)) <= 1e-12
+        assert residual > 1.0
 
     def test_heavy_noise_returned_raw_with_residual(self):
         rng = np.random.default_rng(8)
@@ -345,6 +369,36 @@ class TestOperatorFamilies:
         probes = pauli_six()
         short = InputEnsemble(probes.states[:3], np.full(3, 1.0 / 3.0))
         assert not short.tomographically_complete
+
+
+def _inline_kraus_choi(k):
+    """(1 (x) K) phi+ (1 (x) K)^dag written out, as the constructions did inline."""
+    d = k.shape[1]
+    full = tensor(np.eye(d), k)
+    return full @ max_entangled(d) @ dagger(full)
+
+
+class TestKrausChoi:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bell_povm_is_unchanged(self, d):
+        old = [hermitize(_inline_kraus_choi(w)) for w in weyl_family(d)]
+        new = bell_povm(d).elements
+        assert len(new) == d * d and all(np.array_equal(a, b) for a, b in zip(new, old))
+
+    def test_rectangular_kraus_operator_is_applied(self):
+        rng = np.random.default_rng(4)
+        k = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        omega = rand_state((2,), rng=rng).matrix
+        np.testing.assert_allclose(choi_apply(kraus_choi(k), 2, 3, omega), k @ omega @ dagger(k), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rand_kraus_splits_a_haar_isometry(self, seed):
+        pieces = rand_kraus(2, 3, 2, np.random.default_rng(seed))
+        assert [k.shape for k in pieces] == [(3, 2), (3, 2)]
+        np.testing.assert_allclose(sum(dagger(k) @ k for k in pieces), np.eye(2), atol=1e-12)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        assert np.array_equal(np.concatenate(pieces), q)
 
 
 class TestSampling:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust.games import game_score
-from telerobust.linalg import max_entangled, tensor
+from telerobust.linalg import dagger, hermitize, max_entangled, tensor
 from telerobust.qobjects import (
     ChoiOperator,
     TeleportationInstrument,
     bell_povm,
     build_instrument,
     ideal_instrument,
+    kraus_choi,
     partial_trace,
     rand_state,
     rand_unitary,
@@ -32,13 +33,29 @@ from telerobust.simorder import (
     rand_channel_choi,
     rand_classical_sim,
     rand_quantum_sim,
-    unitary_channel_choi,
 )
 
 
 def _entangled_instrument(seed):
     rng = np.random.default_rng(seed)
     return build_instrument(bell_povm(2), rand_state((2, 2), rank=1, rng=rng))
+
+
+class TestRandChannelChoi:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unchanged_from_the_inline_formula(self, seed):
+        """Two 2-piece Kraus draws from rng.normal, summed in order."""
+        d_in, d_out = 2, 3
+        rng = np.random.default_rng(seed)
+        phi = max_entangled(d_in)
+        old = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+        for w in rng.dirichlet(np.ones(2)):
+            g = rng.normal(size=(2 * d_out, d_in)) + 1j * rng.normal(size=(2 * d_out, d_in))
+            q, _ = np.linalg.qr(g)
+            for i in range(2):
+                full = tensor(np.eye(d_in), q[i * d_out : (i + 1) * d_out, :])
+                old = old + w * (full @ phi @ dagger(full))
+        assert np.array_equal(rand_channel_choi(d_in, d_out, rng=seed), hermitize(old))
 
 
 class TestClassicalSimulation:
@@ -148,8 +165,8 @@ class TestApplyQuantum:
         lu = QuantumSimulation(
             np.array([1.0]),
             [np.eye(4)],
-            [ChoiOperator(unitary_channel_choi(rand_unitary(2, rng)), 2, 2)],
-            [ChoiOperator(unitary_channel_choi(rand_unitary(2, rng)), 2, 2)],
+            [ChoiOperator(kraus_choi(rand_unitary(2, rng)), 2, 2)],
+            [ChoiOperator(kraus_choi(rand_unitary(2, rng)), 2, 2)],
         )
         ideal = ideal_instrument(2)
         assert abs(rot(apply_quantum_sim(ideal, lu)) - rot(ideal)) <= 1e-6
