@@ -199,9 +199,23 @@ def cmd_instrument_realize(args):
     return ResultRecord(values={"round_trip_residual": residual})
 
 
+def _check_tomography(path, data, probes):
+    """Raise ``FileFormatError`` on ``path`` unless each outcome has one output per probe, all of one shape."""
+    shape = np.shape(data[0][0])
+    for a, row in enumerate(data):
+        if len(row) != probes:
+            raise FileFormatError(str(path), f"outcome {a} has {len(row)} outputs for {probes} probes")
+        for x, out in enumerate(row):
+            if np.shape(out) != shape:
+                raise FileFormatError(
+                    str(path), f"output {x} of outcome {a} has shape {np.shape(out)}, output 0 of outcome 0 {shape}"
+                )
+
+
 def cmd_instrument_fit(args):
     inputs = _pick(args, "inputs", InputEnsemble, "input ensemble")
     data = _pick(args, "data", TomographyData, "tomography data")
+    _check_tomography(args.data, data.data, len(inputs.states))
     instr, residual = fit_choi(inputs, data.data, tol=args.tol)
     if residual >= args.tol:
         raise FileFormatError(

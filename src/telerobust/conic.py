@@ -31,15 +31,24 @@ norms and the Schur complement): one product per support, added through
 a slice when its rows are one contiguous range.  The Schur complement is
 built in the per-block sparsity style of Fujisawa, Kojima & Nakata
 (Math. Prog. 79, 1997), from one Gram product of the sharing blocks'
-rows scaled by G per support.  When the supports form a block arrow (k
-disjoint supports of equal size, one block on every row with the same
-coefficients on each of them, and border rows in none of them, as in the
-robustness dual), the Schur matrix is factored by block Cholesky in that
-form: one Cholesky per local support and one for the border, and no
-m x m matrix.  Every other program has k = 0, and its border is the whole
-Schur matrix, factored densely by the same routine.  Blocks of equal
-size are stacked so that the factorizations, scaling and step lengths
-run as one batched call per size.
+rows scaled by G per support.  Blocks of equal size are stacked so that
+the factorizations, scaling and step lengths run as one batched call per
+size.
+
+The Schur system takes one of two routes, chosen by the row count m.  A
+program of at most ``_NUMPY_ROWS`` = 84 rows (every d = 2 robustness
+dual of up to five outcomes) forms the m x m Schur matrix, tests it for
+positive definiteness with numpy's Cholesky and solves it with numpy's
+LU.  A larger program is factored by block Cholesky on scipy's LAPACK and
+BLAS kernels, which ``solve`` imports before the first iterate of the
+first such program, so a run that only solves small programs never loads
+scipy.  When the supports form a block arrow (k disjoint supports of
+equal size, one block on every row with the same coefficients on each of
+them, and border rows in none of them, as in the robustness dual), that
+factor takes the arrow form: one Cholesky per local support and one for
+the border, and no m x m matrix.  Every other program has k = 0, and its border is the whole
+Schur matrix, factored densely by the same routine.  Both routes retry a
+failed factorization on the same ladder of diagonal ridges.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
@@ -50,7 +59,9 @@ that one solve gives the robustness with both certificates
 check, takes about 0.025-0.045 s (144 rows) and 0.9-1.1 s (1539 rows).
 Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
 the primal 0.4-0.7 ms and 2-3.7 ms.  Re-checking either certificate
-runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.
+runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.  A fresh interpreter
+imports the package in about 0.2 s at 35 MB peak RSS; scipy's kernels add
+about 0.25 s and 21 MB, paid once, by the first program above the bound.
 """
 
 from __future__ import annotations
@@ -58,8 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrsm as _trsm, dtrsv as _trsv
-from scipy.linalg.lapack import dpotrf as _potrf
 
 from .linalg import NumericalError, dagger, hermitize, partial_transpose
 
@@ -77,6 +86,10 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+# Programs with at most this many rows solve their Schur system with numpy
+# alone (every d = 2 robustness dual of up to 5 outcomes); larger ones
+# take the arrow or dense factor on scipy's kernels, loaded on first use.
+_NUMPY_ROWS = 84
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 
@@ -326,7 +339,11 @@ def _arrow(supports, m):
     if len(full) != 1 or not local or len({len(rows[i]) for i in local}) != 1:
         return dense
     taken = np.concatenate([rows[i] for i in local])
-    if len(np.unique(taken)) != len(taken):
+    # how many local supports hold each row; counted rather than passed to
+    # np.unique or np.setdiff1d, which import numpy.ma on first use (about
+    # 16 ms in every freshly forked rot_many worker)
+    uses = np.bincount(taken, minlength=m)
+    if uses.max() > 1:
         return dense
     where = np.empty(m, dtype=int)
     where[rows[full[0]]] = np.arange(m)
@@ -334,11 +351,53 @@ def _arrow(supports, m):
     c0 = coef[where[rows[local[0]]]]
     if not all(np.array_equal(coef[where[rows[i]]], c0) for i in local[1:]):
         return dense
-    border = np.setdiff1d(np.arange(m), taken)
+    border = np.flatnonzero(uses == 0)
     g, b, _ = supports[full[0]].members[0]
     return _Arrow(
         [supports[i] for i in local], (g, b), np.vstack([c0, coef[where[border]]]), np.concatenate([taken, border])
     )
+
+
+def _ridged(factor, base):
+    """``factor(shift)`` at the first rung of the ridge ladder on which it succeeds.
+
+    The rungs shift every diagonal entry of the Schur matrix M by 0, then
+    1e-14, 1e-11 and 1e-8 times ``base`` = tr M / m; ``factor`` raises
+    ``LinAlgError`` when M plus its shift is not positive definite.
+    """
+    if not np.isfinite(base):
+        raise np.linalg.LinAlgError("Schur complement not finite")
+    for ridge in (0.0, 1e-14, 1e-11, 1e-8):
+        try:
+            return factor(ridge * base)
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+
+def _numpy_solver(mmat):
+    """Solver callable for a Schur matrix of at most ``_NUMPY_ROWS`` rows, with numpy alone.
+
+    A Cholesky factorization is the positive-definiteness test of each
+    rung of :func:`_ridged`; numpy has no triangular solve, so each call
+    then takes one LU solve of the matrix that passed.
+    """
+
+    def shifted(shift):
+        a = mmat + shift * np.eye(len(mmat)) if shift else mmat
+        np.linalg.cholesky(a)
+        return a
+
+    a = _ridged(shifted, np.trace(mmat) / len(mmat))
+    return lambda rhs: np.linalg.solve(a, rhs)
+
+
+def _scipy_kernels():
+    """scipy's LAPACK ``dpotrf`` and BLAS ``dtrsm`` and ``dtrsv``, imported on first use."""
+    from scipy.linalg.blas import dtrsm, dtrsv
+    from scipy.linalg.lapack import dpotrf
+
+    return dpotrf, dtrsm, dtrsv
 
 
 def _arrow_factor(pivots, z, shift):
@@ -350,6 +409,7 @@ def _arrow_factor(pivots, z, shift):
     and updates Z -= X_a^T X_a; every later block of column a is the same
     X_a, so the form is kept.  Returns the (L_a, X_a) and the border's factor.
     """
+    dpotrf, dtrsm, _ = _scipy_kernels()
     z = z.copy()
     r = pivots[0].shape[0] if pivots else 0
     steps = []
@@ -359,16 +419,16 @@ def _arrow_factor(pivots, z, shift):
             p[np.diag_indices(r)] += shift
         # p and z are symmetric, so their transposes are the Fortran-ordered
         # arrays LAPACK takes without a copy; X_a^T = [Z_KK | Z_KF]^T L_a^-T
-        low, info = _potrf(p.T, lower=1, overwrite_a=1)
+        low, info = dpotrf(p.T, lower=1, overwrite_a=1)
         if info:
             raise np.linalg.LinAlgError("Schur pivot block not positive definite")
-        x = _trsm(1.0, low, z[:r].T, side=1, lower=1, trans_a=1).T
+        x = dtrsm(1.0, low, z[:r].T, side=1, lower=1, trans_a=1).T
         z -= x.T @ x
         steps.append((low, x))
     fb = z[r:, r:]
     if shift:
         fb[np.diag_indices(fb.shape[0])] += shift
-    low, info = _potrf(fb.T, lower=1, overwrite_a=1)
+    low, info = dpotrf(fb.T, lower=1, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError("Schur border block not positive definite")
     return steps, low
@@ -377,23 +437,14 @@ def _arrow_factor(pivots, z, shift):
 def _arrow_solver(pivots, z, perm):
     """Factor the arrow matrix of :func:`_arrow_factor` once; returns a solver callable.
 
-    Retries with a diagonal ridge of 1e-14, 1e-11 and 1e-8 times tr M / m,
-    as one shift of every diagonal entry.  The forward and backward solves
-    each pass over the local blocks once, carrying one running sum.
+    The factor is taken on the ridge ladder of :func:`_ridged`.  The
+    forward and backward solves each pass over the local blocks once,
+    carrying one running sum.
     """
+    *_, dtrsv = _scipy_kernels()
     r = pivots[0].shape[0] if pivots else 0
     base = (sum(np.trace(d) for d in pivots) + len(pivots) * np.trace(z[:r, :r]) + np.trace(z[r:, r:])) / len(perm)
-    if not np.isfinite(base):
-        raise np.linalg.LinAlgError("Schur complement not finite")
-    for ridge in (0.0, 1e-14, 1e-11, 1e-8):
-        try:
-            steps, border = _arrow_factor(pivots, z, ridge * base)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise np.linalg.LinAlgError("Schur complement not positive definite")
-
+    steps, border = _ridged(lambda shift: _arrow_factor(pivots, z, shift), base)
     width = z.shape[0]
 
     def msolve(rhs):
@@ -401,16 +452,16 @@ def _arrow_solver(pivots, z, perm):
         run = np.zeros(width)  # sum of X_c^T y_c over the blocks done
         ys = []
         for a, (low, x) in enumerate(steps):
-            ys.append(_trsv(low, v[a * r : (a + 1) * r] - run[:r], lower=1))
+            ys.append(dtrsv(low, v[a * r : (a + 1) * r] - run[:r], lower=1))
             run += ys[-1] @ x
-        yb = _trsv(border, v[len(steps) * r :] - run[r:], lower=1)
+        yb = dtrsv(border, v[len(steps) * r :] - run[r:], lower=1)
         run[:r] = 0.0  # from here: the sum of the local solutions so far, then the border's
-        run[r:] = _trsv(border, yb, lower=1, trans=1)
+        run[r:] = dtrsv(border, yb, lower=1, trans=1)
         out = np.empty_like(v)
         out[len(steps) * r :] = run[r:]
         for a in range(len(steps) - 1, -1, -1):
             low, x = steps[a]
-            xa = _trsv(low, ys[a] - x @ run, lower=1, trans=1)
+            xa = dtrsv(low, ys[a] - x @ run, lower=1, trans=1)
             out[a * r : (a + 1) * r] = xa
             run[:r] += xa
         res = np.empty_like(out)
@@ -426,7 +477,7 @@ class _Standard:
     Blocks of equal size form one :class:`_Group`, and iterates are held
     as one stack per group, so per-block work is one batched call per
     size.  Each block's rows are held once, in the :class:`_Support` that
-    ``a_dot``, ``at_y``, ``row_norms``, ``schur`` and ``factor`` all
+    ``a_dot``, ``at_y``, ``row_norms``, ``schur`` and ``arrow_factor`` all
     read; ``arrow`` is their block-arrow form (:class:`_Arrow`).
     """
 
@@ -541,9 +592,19 @@ class _Standard:
         return mmat
 
     def factor(self, gs):
-        """Cholesky factor of the Schur matrix for scalings W = G G^H, as a solver callable.
+        """Factor the Schur matrix for scalings W = G G^H; returns a solver callable.
 
         ``gs`` holds one stack of G per group, as :meth:`schur` takes them.
+        A program of at most ``_NUMPY_ROWS`` rows solves the matrix from
+        :meth:`schur` with numpy (:func:`_numpy_solver`); a larger one
+        takes :meth:`arrow_factor`.
+        """
+        if self.m <= _NUMPY_ROWS:
+            return _numpy_solver(self.schur(gs))
+        return self.arrow_factor(gs)
+
+    def arrow_factor(self, gs):
+        """The block Cholesky factor of :func:`_arrow_solver`, on scipy's kernels.
 
         On a program with the block-arrow structure of :class:`_Arrow`
         (k local supports) it factors one r x r pivot per local support
@@ -678,6 +739,10 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
     sizes, m = std.sizes, std.m
     if m == 0:
         raise ValueError("problem has no constraints")
+    if m > _NUMPY_ROWS:
+        # import before the first iterate: loaded mid-iteration, scipy left
+        # the d = 3 dual at about 7000 page faults a solve, against 2000
+        _scipy_kernels()
     nu = sum(sizes)
     C = [g.C for g in std.groups]
 
@@ -707,8 +772,8 @@ def solve(problem: SdpProblem, tol=1e-8, max_iter=200):
         resid = std.b - std.a_dot(X)
         viol = float(np.max(np.abs(resid)))
         xs, ss = std.unstack(X), std.unstack(S)
-        for k in range(std.n_user):
-            viol = max(viol, -float(np.linalg.eigvalsh(hermitize(xs[k]))[0]))
+        lows = [np.linalg.eigvalsh(hermitize(x))[:, 0] for x in X]  # one call per size group
+        viol = max([viol] + [-float(lows[g][b]) for g, b in std.where[: std.n_user]])
         sol = SdpSolution(
             status=st,
             primal_blocks=[xs[k].copy() for k in range(std.n_user)],
@@ -863,6 +928,15 @@ def _nonfinite_inputs(solution):
     return [f"{what}: not finite" for what, v in parts if not np.all(np.isfinite(v))]
 
 
+def _lowest_eigs(mats):
+    """Smallest eigenvalue of each Hermitian matrix, from one ``eigvalsh`` call per size."""
+    out = np.empty(len(mats))
+    for n in {len(m) for m in mats}:
+        at = [i for i, m in enumerate(mats) if len(m) == n]
+        out[at] = np.linalg.eigvalsh(np.stack([mats[i] for i in at]))[:, 0]
+    return out
+
+
 def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     """Independent feasibility and weak-duality check of a solution.
 
@@ -891,15 +965,6 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     X = solution.primal_blocks
     y = solution.dual_multipliers
 
-    for k, blk in enumerate(problem.blocks):
-        scale = 1.0 + float(np.linalg.norm(X[k]))
-        lam = float(np.linalg.eigvalsh(hermitize(X[k]))[0])
-        checks[f"primal_psd_block{k}"] = max(0.0, -lam / scale)
-        if blk.cone == "ppt":
-            ptx = partial_transpose(X[k], blk.ppt_dims)
-            lam = float(np.linalg.eigvalsh(hermitize(ptx))[0])
-            checks[f"primal_ppt_block{k}"] = max(0.0, -lam / scale)
-
     sign = 1.0 if problem.sense == "min" else -1.0
     pval = problem.offset + float(
         np.real(sum(np.vdot(problem.objective.get(k, np.zeros_like(X[k])), X[k]) for k in range(len(X))))
@@ -916,6 +981,24 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
         vals[rows] += a @ svec(hermitize(X[k]))
         slacks.append(sign * problem.objective.get(k, 0.0) - smat(y[rows] @ a, blk.size))
 
+    # every cone test, as (check, Hermitian matrix, scale), primal then dual;
+    # their smallest eigenvalues take one eigvalsh call per size
+    primal, dual = [], []
+    pairs = {k: [hermitize(m) for m in pair] for k, pair in solution.ppt_pairs.items()}
+    for k, blk in enumerate(problem.blocks):
+        scale = 1.0 + float(np.linalg.norm(X[k]))
+        primal.append((f"primal_psd_block{k}", hermitize(X[k]), scale))
+        if blk.cone == "ppt":
+            primal.append((f"primal_ppt_block{k}", hermitize(partial_transpose(X[k], blk.ppt_dims)), scale))
+            for name, m in zip("PQ", pairs.get(k, [])):
+                dual.append((f"dual_slack_block{k}_{name}", m, 1.0 + float(np.linalg.norm(m))))
+        else:
+            dual.append((f"dual_slack_block{k}", slacks[k], 1.0 + float(np.linalg.norm(slacks[k]))))
+    tests = primal + dual
+    lows = _lowest_eigs([m for _, m, _ in tests]).tolist()
+    cone = {name: max(0.0, -lam / scale) for (name, _, scale), lam in zip(tests, lows)}
+    checks.update((name, cone[name]) for name, _, _ in primal)
+
     for i, ((_, sense, rhs), val) in enumerate(zip(problem.constraints, vals.tolist())):
         scale = 1.0 + abs(rhs)
         if sense == "=":
@@ -928,23 +1011,17 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
             checks[f"row{i}_dualsign"] = max(0.0, -y[i])
 
     for k, blk in enumerate(problem.blocks):
-        z = slacks[k]
-        scale = 1.0 + float(np.linalg.norm(z))
         if blk.cone == "psd":
-            lam = float(np.linalg.eigvalsh(z)[0])
-            checks[f"dual_slack_block{k}"] = max(0.0, -lam / scale)
+            checks[f"dual_slack_block{k}"] = cone[f"dual_slack_block{k}"]
+        elif k not in pairs:
+            messages.append(f"no decomposition pair (P, Q) for PPT block {k}")
+            checks[f"dual_slack_block{k}"] = np.inf
         else:
-            pair = solution.ppt_pairs.get(k)
-            if pair is None:
-                messages.append(f"no decomposition pair (P, Q) for PPT block {k}")
-                checks[f"dual_slack_block{k}"] = np.inf
-                continue
-            p, q = (hermitize(m) for m in pair)
-            for name, m in (("P", p), ("Q", q)):
-                lam = float(np.linalg.eigvalsh(m)[0])
-                checks[f"dual_slack_block{k}_{name}"] = max(0.0, -lam / (1.0 + float(np.linalg.norm(m))))
+            for name in "PQ":
+                checks[f"dual_slack_block{k}_{name}"] = cone[f"dual_slack_block{k}_{name}"]
+            (p, q), z = pairs[k], slacks[k]
             resid = z - p - partial_transpose(q, blk.ppt_dims)
-            checks[f"dual_slack_block{k}_residual"] = float(np.linalg.norm(resid)) / scale
+            checks[f"dual_slack_block{k}_residual"] = float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(z)))
 
     # the values the solution reports must match what its blocks/multipliers
     # achieve, and the reported pair must satisfy weak duality

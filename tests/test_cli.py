@@ -6,6 +6,9 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -816,6 +819,33 @@ class TestInstrumentFlow:
         assert "raw fit" not in err
         assert not fit_file.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data[2].pop(), "outcome 2 has 5 outputs for 6 probes"),
+            (lambda data: data[1].append(data[1][0]), "outcome 1 has 7 outputs for 6 probes"),
+            (
+                lambda data: data[3].__setitem__(4, np.eye(3)),
+                "output 4 of outcome 3 has shape (3, 3), output 0 of outcome 0 (2, 2)",
+            ),
+        ],
+        ids=["missing output", "extra output", "output shape"],
+    )
+    def test_fit_data_not_matching_the_probes_exits_3(self, files, tmp_path, capsys, edit, message):
+        """Tomography data must hold one output per probe, all of one shape; the error names the data file."""
+        data = [[choi_apply(j, 2, 2, w.matrix) for w in pauli_six().states] for j in ideal_instrument(2).mats]
+        edit(data)
+        data_file = tmp_path / "tomo.json"
+        fit_file = tmp_path / "fitted.json"
+        save_experiment(data_file, {"data": TomographyData(data)})
+        code = cli.main(
+            ["instrument", "fit", "--inputs", str(files["pauli6"]), "--data", str(data_file), "--save", str(fit_file)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: {data_file}: {message}" in err, err
+        assert not fit_file.exists()
+
 
 class TestSimFlow:
     def test_apply_merge_all_kills_robustness(self, files, tmp_path):
@@ -984,3 +1014,42 @@ class TestDeterminism:
         assert first.values == second.values
         assert first.inputs == second.inputs
         assert first.certificates == second.certificates
+
+
+# Run in a fresh interpreter: scipy must stay unloaded through a d = 2
+# ``rot compute`` and a ``sim check`` (pinned to one CPU so that its
+# robustness programs are solved in this process), and load for d = 3.
+_SCIPY_ON_DEMAND = r"""
+import os, sys
+import telerobust.cli as cli
+from telerobust import qobjects, serialize
+
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+root = sys.argv[1]
+
+def rot_compute(d, p):
+    path, out = f"{root}/iso{d}.json", f"{root}/rot{d}.json"
+    instr = qobjects.build_instrument(qobjects.bell_povm(d), qobjects.isotropic_state(p, d))
+    serialize.save_experiment(path, {"instrument": instr})
+    assert cli.main(["rot", "compute", "--instrument", path, "--out", out]) == 0
+    return path, serialize.record_loads(open(out, encoding="utf-8").read()).values["robustness"]
+
+path, _ = rot_compute(2, 0.7)
+argv = ["sim", "check", "--instrument", path, "--classical", "4", "--quantum", "2", "--mixtures", "2"]
+assert cli.main(argv + ["--seed", "0", "--out", f"{root}/check.json"]) == 0
+assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command"
+_, t = rot_compute(3, 0.7)
+assert "scipy" in sys.modules, "scipy not loaded by the d = 3 dual"
+assert abs(t - 1.2) <= 1e-6, t
+"""
+
+
+def test_scipy_loads_only_for_programs_above_the_numpy_bound(tmp_path):
+    """d = 2 commands run on numpy alone; the d = 3 dual loads scipy and gets T = 1.2."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr

@@ -399,11 +399,12 @@ def _local_unitary(instr, rng):
     return TeleportationInstrument([u @ j @ dagger(u) for j in instr.mats], instr.dims)
 
 
-def _random_entangled(rng):
-    """A Haar-random basis measurement on a random pure d = 2 state (T about 0.1-0.5)."""
-    w = rand_unitary(4, rng)
-    basis = Povm([np.outer(w[:, a], w[:, a].conj()) for a in range(4)], (2, 2))
-    return build_instrument(basis, rand_state((2, 2), rank=1, rng=rng))
+def _random_entangled(rng, d=2):
+    """A Haar-random basis measurement on V (x) A, rank 1 and not Bell, on a
+    random pure state of A (x) B, all of dimension d (T about 0.1-0.5 at d = 2)."""
+    w = rand_unitary(d * d, rng)
+    basis = Povm([np.outer(w[:, a], w[:, a].conj()) for a in range(d * d)], (d, d))
+    return build_instrument(basis, rand_state((d, d), rank=1, rng=rng))
 
 
 def _with_zero_outcome(instr):
@@ -438,10 +439,28 @@ def test_zero_outcome_and_classical_relabelling(seed):
     assert t_relabelled <= t + 1e-7
 
 
-@pytest.mark.parametrize("d, expected", [(2, 1.0), (3, 2.0)])
-def test_ideal_instrument_with_a_zero_outcome_keeps_the_closed_form(d, expected):
-    """Bell measurement on a maximally entangled state (p = 1) plus a zero outcome: T = d - 1."""
-    instr = _with_zero_outcome(build_instrument(bell_povm(d), isotropic_state(1.0, d)))
+def test_qutrit_basis_measurement_keeps_t_under_permutation_and_a_zero_outcome():
+    """At d = 3, T of a random rank-1 basis measurement on a random pure
+    state (T = 0.856) is unchanged, to 1e-7, by an outcome permutation and
+    by an appended zero outcome.  Its 738- and 820-row duals are factored
+    as block arrows, on scipy's kernels."""
+    rng = np.random.default_rng(0)
+    instr = _random_entangled(rng, 3)
+    permuted = TeleportationInstrument([instr.mats[a] for a in rng.permutation(9)], instr.dims)
+    t, t_perm, t_zero = rot_many([instr, permuted, _with_zero_outcome(instr)])
+    assert abs(t - 0.856485275) <= 1e-6
+    assert abs(t_perm - t) <= 1e-7
+    assert abs(t_zero - t) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "d, p, expected", [(2, 1.0, 1.0), (3, 1.0, 2.0), (3, 0.7, 1.2)], ids=["2-1.0", "3-2.0", "3-1.2"]
+)
+def test_ideal_instrument_with_a_zero_outcome_keeps_the_closed_form(d, p, expected):
+    """Bell measurement on an isotropic state plus a zero outcome keeps
+    T = d F - 1 with F = p + (1 - p) / d^2: d - 1 on the maximally entangled
+    state (p = 1), and 1.2 at d = 3, p = 0.7."""
+    instr = _with_zero_outcome(build_instrument(bell_povm(d), isotropic_state(p, d)))
     assert abs(rot(instr) - expected) <= 1e-6
 
 
