@@ -145,6 +145,8 @@ class Strategy:
     half first, probed half second); the referee's subchannel acts on
     the probed half, and ``measurement`` — indexed like a teleportation
     measurement on input (x) kept-half — supplies the guess outcomes.
+    Public as the physical-resource reference for :func:`p_succ`, through
+    :func:`p_succ_strategy`.
     """
 
     measurement: Povm
@@ -220,7 +222,8 @@ def p_succ_strategy(e: DiscriminationInstrument, strategy: Strategy) -> float:
     Applies each branch to the probed half of the memory and pairs the
     result with the guess measurement directly, without forming the
     induced instrument; agrees with ``p_succ`` on that instrument to
-    numerical precision.
+    numerical precision.  Public as the physical-resource reference that
+    :func:`p_succ` is checked against.
     """
     d = e.dim
     d_in, d_kept = strategy.measurement.dims

@@ -34,7 +34,6 @@ from .qobjects import (
     DensityMatrix,
     InputEnsemble,
     TeleportationInstrument,
-    choi_apply,
     choi_apply_second,
     weyl_family,
 )
@@ -363,32 +362,26 @@ def build_game_from_dual(dual: RotDualSolution, tol=1e-9) -> CorrelationGame:
     return CorrelationGame(sigma, targets, np.asarray(scores))
 
 
-def fidelity_game_of(inputs: InputEnsemble) -> CorrelationGame:
+def fidelity_game_of(inputs: InputEnsemble, outcomes: int) -> CorrelationGame:
     """Game whose score is the average teleportation fidelity.
 
     The referee keeps a classical flag |x><x| of which probe was drawn,
-    so the input state is (1/n) sum_x |x><x| (x) omega_x; every outcome
-    slot shares that same operator as target with payoff n, which makes
-    the game score collapse to the input-averaged overlap of the
-    corrected output with the probe.  Requires uniformly weighted pure
-    probes.
+    so the input state is sum_x w_x |x><x| (x) omega_x; each of the
+    ``outcomes`` slots has target sum_x |x><x| (x) omega_x and payoff 1,
+    which makes the game score collapse to the weighted overlap of the
+    corrected output with the probe.  Requires pure probes of one
+    dimension.
     """
-    n = len(inputs.states)
     d = inputs.states[0].dim
     for x, st in enumerate(inputs.states):
         if st.dim != d:
-            raise ValueError("probe states differ in dimension")
+            raise ValueError(f"probe {x} has dimension {st.dim}, but probe 0 has dimension {d}")
         if np.linalg.eigvalsh(st.matrix)[-1] < 1.0 - 1e-9:
             raise ValueError(f"probe {x} is mixed; the fidelity game needs pure probes")
-    if np.max(np.abs(inputs.weights - 1.0 / n)) > 1e-9:
-        raise ValueError("the fidelity game needs uniformly weighted probes")
-    blocks = np.zeros((n * d, n * d), dtype=complex)
-    for x, st in enumerate(inputs.states):
-        blocks[x * d : (x + 1) * d, x * d : (x + 1) * d] = st.matrix / n
-    sigma = DensityMatrix(blocks, (n, d))
-    targets = [blocks.copy() for _ in range(d * d)]
-    scores = np.full(d * d, float(n))
-    return CorrelationGame(sigma, targets, scores)
+    n = len(inputs.states)
+    flagged = [tensor(np.diag(np.eye(n)[x]), st.matrix) for x, st in enumerate(inputs.states)]
+    sigma = DensityMatrix(sum(w * f for w, f in zip(inputs.weights, flagged)), (n, d))
+    return CorrelationGame(sigma, [sum(flagged)] * outcomes, np.ones(outcomes))
 
 
 def average_fidelity(instr: TeleportationInstrument, inputs: InputEnsemble, corrections=None):
@@ -396,30 +389,8 @@ def average_fidelity(instr: TeleportationInstrument, inputs: InputEnsemble, corr
 
     Computes sum_x w_x sum_a <omega_x| U_a rho_{a|x} U_a^dag |omega_x>
     with rho_{a|x} the unnormalized conditional output, maximizing each
-    outcome's correction over the family.  A lower bound whenever the
-    family falls short of all unitaries.
+    outcome's correction over the family: the :func:`game_score` of
+    :func:`fidelity_game_of`.  A lower bound whenever the family falls
+    short of all unitaries.
     """
-    corrections = corrections if corrections is not None else UnitaryFamily()
-    d_v, d_b = instr.dims
-    n = len(inputs.states)
-    if inputs.states[0].dim != d_v:
-        raise ValueError("probe dimension does not match the instrument input")
-    if d_b != d_v:
-        raise ValueError("fidelity needs matching input and output dimensions")
-    for x, st in enumerate(inputs.states):
-        if np.linalg.eigvalsh(st.matrix)[-1] < 1.0 - 1e-9:
-            raise ValueError(f"probe {x} is mixed; fidelity needs pure probes")
-    w = inputs.weights
-    total = 0.0
-    for j in instr.mats:
-        # pack the per-probe outputs and probes into block-diagonal
-        # operators so the per-outcome search reuses the game machinery
-        y = np.zeros((n * d_b, n * d_b), dtype=complex)
-        xi = np.zeros_like(y)
-        for x, st in enumerate(inputs.states):
-            sl = slice(x * d_b, (x + 1) * d_b)
-            y[sl, sl] = w[x] * choi_apply(j, d_v, d_b, st.matrix)
-            xi[sl, sl] = st.matrix
-        val, _ = _best_unitary(hermitize(y), xi, corrections, n, d_b)
-        total += val
-    return float(total)
+    return game_score(fidelity_game_of(inputs, instr.outcomes), instr, corrections)

@@ -26,7 +26,6 @@ __all__ = [
     "max_entangled",
     "herm_eig",
     "min_eig",
-    "is_psd",
     "clip_psd",
     "psd_sqrt",
     "pinv_sqrt",
@@ -62,7 +61,11 @@ def dagger(x):
 
 
 def frobenius_inner(a, b):
-    """Hilbert-Schmidt inner product <a, b> = tr(a^dag b)."""
+    """Hilbert-Schmidt inner product <a, b> = tr(a^dag b).
+
+    Public as the reference pairing the tests check adjoint maps and
+    projections against.
+    """
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
@@ -166,7 +169,10 @@ def partial_transpose(x, dims, subsystem=1):
 
 
 def swap_operator(d):
-    """Swap operator on C^d x C^d."""
+    """Swap operator on C^d x C^d.
+
+    Public as the reference :func:`permute_systems` is checked against.
+    """
     s = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -205,10 +211,6 @@ def herm_eig(x, tol=HERM_TOL):
 def min_eig(x):
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex)))[0])
-
-
-def is_psd(x, tol=1e-9):
-    return min_eig(x) >= -tol
 
 
 def clip_psd(x):

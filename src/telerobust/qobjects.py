@@ -49,7 +49,6 @@ __all__ = [
     "kraus_choi",
     "rand_kraus",
     "bell_povm",
-    "pauli",
     "pauli_six",
 ]
 
@@ -349,17 +348,6 @@ def fit_choi(inputs: InputEnsemble, data, tol=1e-4) -> tuple[TeleportationInstru
     sol = solve_checked(prob, what="instrument projection")
     projected = [sol.primal_blocks[j] for j in js]
     return TeleportationInstrument(projected, (d_v, d_b)), misfit(svec_stack(projected))
-
-
-def pauli(i):
-    """Pauli matrix by index 0..3 = 1, X, Y, Z."""
-    mats = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    return mats[i]
 
 
 def weyl(d, m, n):

@@ -15,10 +15,13 @@ both: the optimal cover is read off its multipliers, and the solution is
 accepted only once ``verify_certificate`` passes on it.  Separability is
 relaxed to the positive partial transpose, exact for d_V * d_B <= 6.
 
-The same machinery evaluates the robustness of entanglement of a state
-and, through an alternating measurement/witness optimization, the
-largest teleportation robustness any measurement can extract from a
-fixed shared state.
+The same machinery evaluates the generalized robustness of entanglement
+R_E of a shared state.  Under the PPT relaxation that is the largest
+teleportation robustness any measurement extracts from the state, and
+the Bell measurement attains it: T(Bell, rho) = R_E(rho).  No
+measurement M does better, because rho <= (1 + r) sigma with sigma PPT
+makes (1 + r) times the instrument of (M, sigma) a PPT cover of the
+instrument of (M, rho).
 """
 
 from __future__ import annotations
@@ -31,24 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec
-from .linalg import (
-    clip_psd,
-    hermitize,
-    max_entangled,
-    partial_trace,
-    partial_transpose,
-    permute_systems,
-    pinv_sqrt,
-    tensor,
-)
-from .qobjects import (
-    DensityMatrix,
-    Povm,
-    TeleportationInstrument,
-    bell_povm,
-    build_instrument,
-    rand_povm,
-)
+from .linalg import hermitize, partial_trace, partial_transpose, tensor
+from .qobjects import DensityMatrix, TeleportationInstrument
 
 __all__ = [
     "RotPrimalSolution",
@@ -61,7 +48,6 @@ __all__ = [
     "rot_many",
     "classical_max",
     "robustness_of_entanglement",
-    "rot_max_over_povm",
 ]
 
 
@@ -161,7 +147,9 @@ def rot_primal(instr: TeleportationInstrument, tol=1e-8) -> RotPrimalSolution:
 
     Solves min tr(tau) - 1 over PPT operators F_a >= J_a with
     d_V * sum_a F_a <= 1 (x) tau.  The solution is verified against every
-    constraint before the value is trusted.
+    constraint before the value is trusted.  Public because it is the
+    independent cross-check of the cover that :func:`rot_certified` reads
+    off the dual's multipliers, and ``perfbench/spans.py`` times it.
     """
     prob, fs, tau = rot_primal_problem(instr)
     sol = solve_checked(prob, tol=tol, what="teleportation robustness primal")
@@ -367,97 +355,3 @@ def robustness_of_entanglement(rho: DensityMatrix, tol=1e-8) -> float:
     prob.add_operator_equality([(sig, 1.0), (slack, -1.0)], rho.matrix)
     sol = solve_checked(prob, tol=tol, what="entanglement robustness")
     return float(sol.primal_value)
-
-
-def _witness_pullbacks(rho, witnesses):
-    """Operators K_a on V' (x) A with tr[A_a J_a(M)] = tr[M_a K_a].
-
-    The instrument built from a measurement M on V' (x) A and the shared
-    state is linear in M, so each witness pulls back through the
-    construction to a fixed coefficient operator.
-    """
-    d_a, d_b = rho.dims
-    d_v = d_a
-    base = tensor(max_entangled(d_v), rho.matrix)  # order V, V', A, B
-    eye_m = np.eye(d_v * d_a)
-    ks = []
-    for a_op in witnesses:
-        emb = permute_systems(
-            tensor(a_op, eye_m), (d_v, d_b, d_v, d_a), (0, 2, 3, 1)
-        )
-        ks.append(hermitize(partial_trace(base @ emb, (d_v, d_v, d_a, d_b), keep=(1, 2))))
-    return ks
-
-
-def _best_povm_for_witnesses(rho, witnesses, tol):
-    """Measurement maximizing the witnessed score for fixed witnesses.
-
-    max_M d_V * sum_a tr[A_a J_a(M)] - 1 is a semidefinite program in the
-    measurement operators because the instrument is linear in them.
-    """
-    d_a, _ = rho.dims
-    d_v = d_a
-    n = d_v * d_a
-    ks = _witness_pullbacks(rho, witnesses)
-    prob = SdpProblem()
-    ms = [prob.add_block(n) for _ in ks]
-    prob.set_objective(
-        {m: float(d_v) * k for m, k in zip(ms, ks)}, offset=-1.0, sense="max"
-    )
-    prob.add_operator_equality([(m, 1.0) for m in ms], np.eye(n))
-    sol = solve_checked(prob, tol=tol, what="measurement update")
-    elems = [clip_psd(sol.primal_blocks[m]) for m in ms]
-    scale = pinv_sqrt(sum(elems))
-    return Povm([hermitize(scale @ e @ scale) for e in elems], (d_v, d_a))
-
-
-def _seesaw_over_povm(rho, povm, rounds, tol, step_tol):
-    """Alternate witness re-fits and measurement updates from one start.
-
-    Returns (best value, measurement attaining it, value history).  Each
-    measurement update maximizes the previous witnesses' score and the
-    following witness re-fit can only improve on that, so the history
-    must be non-decreasing; a drop beyond ``step_tol`` is a solver
-    failure and aborts.
-    """
-    history = []
-    best_val, best_povm = -np.inf, povm
-    for r in range(rounds):
-        dual = rot_dual(build_instrument(povm, rho), tol=tol)
-        history.append(dual.value)
-        if len(history) > 1 and history[-1] < history[-2] - step_tol:
-            raise SolverError(
-                f"alternation decreased from {history[-2]:.12g} to {history[-1]:.12g} "
-                f"at round {r}; values {history}"
-            )
-        if dual.value > best_val:
-            best_val, best_povm = dual.value, povm
-        if r == rounds - 1:
-            break
-        povm = _best_povm_for_witnesses(rho, dual.witnesses_A, tol)
-    return best_val, best_povm, history
-
-
-def rot_max_over_povm(rho: DensityMatrix, rounds=5, seed=0, tol=1e-9, restarts=3):
-    """Largest teleportation robustness any measurement extracts from rho.
-
-    Alternates between re-fitting witnesses for the current measurement
-    (the dual program) and re-optimizing the measurement for the current
-    witnesses (also semidefinite), from a generalized Bell measurement
-    plus ``restarts`` random measurements.  Returns (value, measurement)
-    for the best round seen — a certified lower bound on the maximum,
-    which never exceeds the robustness of entanglement of rho.
-
-    The default tolerance is tighter than elsewhere so that solver noise
-    stays well below the per-step monotonicity budget of the alternation.
-    """
-    d_a, _ = rho.dims
-    rng = np.random.default_rng(seed)
-    starts = [bell_povm(d_a)]
-    starts += [rand_povm((d_a, d_a), d_a * d_a, rng) for _ in range(restarts)]
-    best_val, best_povm = -np.inf, None
-    for m0 in starts:
-        val, povm, _ = _seesaw_over_povm(rho, m0, rounds, tol, step_tol=1e-7)
-        if val > best_val:
-            best_val, best_povm = val, povm
-    return best_val, best_povm

@@ -160,7 +160,11 @@ def identity_channel_choi(d):
 
 
 def depolarizing_choi(d):
-    """Choi operator of the channel replacing every input with 1/d."""
+    """Choi operator of the channel replacing every input with 1/d.
+
+    Public as the reference entanglement-breaking channel: a quantum
+    simulation that post-processes with it must leave T = 0.
+    """
     return np.eye(d * d, dtype=complex) / (d * d)
 
 

@@ -19,6 +19,8 @@ from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instr
 from telerobust.games import build_game_from_dual
 from telerobust.linalg import hermitize
 from telerobust.qobjects import (
+    DensityMatrix,
+    InputEnsemble,
     bell_povm,
     build_instrument,
     choi_apply,
@@ -595,6 +597,17 @@ class TestFidelity:
         )
         assert code == 0
         assert abs(rec.values["average_fidelity"] - 1.0) <= 1e-9
+
+    def test_probes_of_different_dimensions_exit_3_naming_the_probe(self, files, tmp_path, capsys):
+        probes = InputEnsemble(
+            [DensityMatrix(np.diag([1.0, 0.0]), (2,)), DensityMatrix(np.diag([1.0, 0.0, 0.0]), (3,))],
+            np.array([0.5, 0.5]),
+        )
+        path = tmp_path / "mixed_dims.json"
+        save_experiment(path, {"probes": probes})
+        code = cli.main(["fidelity", "--instrument", str(files["ideal2"]), "--inputs", str(path)])
+        assert code == 3
+        assert "probe 1 has dimension 3, but probe 0 has dimension 2" in capsys.readouterr().err
 
 
 class TestGameFlow:

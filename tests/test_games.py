@@ -24,6 +24,7 @@ from telerobust.qobjects import (
     TeleportationInstrument,
     bell_povm,
     build_instrument,
+    choi_apply,
     choi_apply_second,
     ideal_instrument,
     pauli_six,
@@ -99,7 +100,7 @@ class TestGameScore:
         assert abs(2.0 * score - (1.0 + dual.value)) < 1e-5
 
     def test_fidelity_game_on_ideal_instrument_is_perfect(self):
-        g = fidelity_game_of(pauli_six())
+        g = fidelity_game_of(pauli_six(), 4)
         score = game_score(g, ideal_instrument(2), UnitaryFamily("pauli_group"))
         assert abs(score - 1.0) < 1e-9
 
@@ -132,7 +133,7 @@ class TestGameScore:
 
     def test_richer_families_never_lower_the_score(self):
         rng = np.random.default_rng(11)
-        g = fidelity_game_of(pauli_six())
+        g = fidelity_game_of(pauli_six(), 4)
         for _ in range(3):
             instr = _random_instrument(rng)
             s_id = game_score(g, instr, UnitaryFamily("identity_only"))
@@ -155,7 +156,7 @@ class TestGameScore:
         """Forming each pulled target once per b leaves every entry bit-identical."""
         rng = np.random.default_rng(seed)
         instr = _random_instrument(rng, outcomes=3)
-        g = fidelity_game_of(pauli_six())
+        g = fidelity_game_of(pauli_six(), 4)
         d_spec = g.spectator_dim
         ys = [choi_apply_second(j, 2, 2, g.input_state.matrix, d_spec) for j in instr.mats]
         members = UnitaryFamily("pauli_group").members(2)
@@ -169,7 +170,7 @@ class TestGameScore:
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         instr = _random_instrument(rng)
-        g = fidelity_game_of(pauli_six())
+        g = fidelity_game_of(pauli_six(), 4)
         fam = UnitaryFamily("seesaw_polished")
         assert game_score(g, instr, fam) == game_score(g, instr, fam)
 
@@ -216,7 +217,7 @@ class TestClassicalGameScore:
         assert abs(solved - 0.5) < 1e-6
 
     def test_fidelity_game_classical_threshold(self):
-        g = fidelity_game_of(pauli_six())
+        g = fidelity_game_of(pauli_six(), 4)
         value = classical_game_score(g, UnitaryFamily("pauli_group"))
         assert abs(value - 2.0 / 3.0) < 1e-3
 
@@ -292,30 +293,54 @@ class TestBuildGameFromDual:
             build_game_from_dual(fake)
 
 
+def _direct_average_fidelity(instr, ens, family):
+    """sum_a max_U sum_x w_x <omega_x| U Lambda_a(omega_x) U^dag |omega_x>,
+    written out probe by probe: one correction per outcome, shared by
+    every probe."""
+    d_v, d_b = instr.dims
+    total = 0.0
+    for j in instr.mats:
+        outs = [choi_apply(j, d_v, d_b, w.matrix) for w in ens.states]
+        total += max(
+            sum(
+                wx * float(np.vdot(w.matrix, u @ out @ dagger(u)).real)
+                for wx, w, out in zip(ens.weights, ens.states, outs)
+            )
+            for u in family.members(d_b)
+        )
+    return total
+
+
 class TestFidelityGame:
     def test_mixed_probe_rejected(self):
         mixed = DensityMatrix(np.eye(2) / 2.0, (2,))
         ens = InputEnsemble([mixed, mixed], np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="pure"):
-            fidelity_game_of(ens)
+            fidelity_game_of(ens, 4)
 
-    def test_non_uniform_weights_rejected(self):
-        states = pauli_six().states[:2]
-        ens = InputEnsemble(states, np.array([0.75, 0.25]))
-        with pytest.raises(ValueError, match="uniform"):
-            fidelity_game_of(ens)
+    def test_weighted_probes_score_their_weighted_average(self):
+        """Without corrections each probe contributes its own fidelity,
+        weighted: the score of a weighted ensemble is sum_x w_x F_x."""
+        rng = np.random.default_rng(19)
+        instr = _random_instrument(rng, outcomes=3)
+        states = pauli_six().states
+        weights = rng.dirichlet(np.ones(len(states)))
+        fam = UnitaryFamily("identity_only")
+        single = [average_fidelity(instr, InputEnsemble([w], np.array([1.0])), fam) for w in states]
+        value = average_fidelity(instr, InputEnsemble(states, weights), fam)
+        assert abs(value - float(np.dot(weights, single))) < 1e-12
 
     @settings(deadline=None, max_examples=8)
-    @given(st.integers(0, 10_000))
-    def test_game_path_equals_direct_average(self, seed):
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_game_path_equals_direct_average(self, seed, outcomes):
+        """average_fidelity, one game_score call, equals the per-probe
+        formula for non-uniform weights and 1 to 5 outcomes."""
         rng = np.random.default_rng(seed)
-        instr = _random_instrument(rng)
-        ens = pauli_six()
-        g = fidelity_game_of(ens)
+        instr = _random_instrument(rng, outcomes=outcomes)
+        ens = InputEnsemble(pauli_six().states, rng.dirichlet(np.ones(6)))
         for fam in (UnitaryFamily("identity_only"), UnitaryFamily("pauli_group")):
-            via_game = game_score(g, instr, fam)
-            direct = average_fidelity(instr, ens, fam)
-            assert abs(via_game - direct) < 1e-10
+            direct = _direct_average_fidelity(instr, ens, fam)
+            assert abs(average_fidelity(instr, ens, fam) - direct) < 1e-12
 
 
 class TestAverageFidelity:

@@ -13,7 +13,6 @@ from telerobust.linalg import (
     herm_eig,
     hermitize,
     is_hermitian,
-    is_psd,
     ket,
     max_entangled,
     max_entangled_ket,
@@ -240,11 +239,6 @@ def test_frobenius_inner_and_norm():
     x = _rand_herm(rng, 3)
     np.testing.assert_allclose(frobenius_inner(x, x), frobenius_norm(x) ** 2, atol=1e-12)
     assert abs(frobenius_inner(x, x).imag) < 1e-14
-
-
-def test_is_psd_tolerance():
-    assert is_psd(np.diag([1.0, -1e-12]))
-    assert not is_psd(np.diag([1.0, -1e-3]))
 
 
 @settings(deadline=None)

@@ -30,7 +30,6 @@ from telerobust.qobjects import (
     fit_choi,
     ideal_instrument,
     kraus_choi,
-    pauli,
     pauli_six,
     rand_kraus,
     rand_povm,
@@ -337,13 +336,6 @@ class TestChoiCalculus:
 
 
 class TestOperatorFamilies:
-    def test_pauli_algebra(self):
-        for i in (1, 2, 3):
-            np.testing.assert_allclose(pauli(i) @ pauli(i), np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(
-            pauli(1) @ pauli(2), -pauli(2) @ pauli(1), atol=1e-14
-        )
-
     def test_weyl_unitaries_orthogonal(self):
         for d in (2, 3):
             fam = weyl_family(d)

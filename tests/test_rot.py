@@ -1,4 +1,4 @@
-"""Tests for the robustness programs and the measurement see-saw."""
+"""Tests for the robustness programs and their link to the robustness of entanglement."""
 
 import multiprocessing
 import os
@@ -34,7 +34,6 @@ from telerobust.qobjects import (
 from telerobust.rot import (
     RotDualSolution,
     RotPrimalSolution,
-    _seesaw_over_povm,
     classical_max,
     robustness_of_entanglement,
     rot,
@@ -42,7 +41,6 @@ from telerobust.rot import (
     rot_dual,
     rot_dual_problem,
     rot_many,
-    rot_max_over_povm,
     rot_primal,
     rot_primal_problem,
 )
@@ -493,43 +491,54 @@ class TestEntanglementRobustness:
             robustness_of_entanglement(DensityMatrix(np.eye(2) / 2, (2,)))
 
 
-class TestSeesaw:
-    def test_maximally_entangled_reaches_entanglement_robustness(self):
-        phi = DensityMatrix(max_entangled(2), (2, 2))
-        value, povm = rot_max_over_povm(phi, rounds=5, seed=0)
-        np.testing.assert_allclose(value, 1.0, atol=1e-4)
-        np.testing.assert_allclose(
-            value, robustness_of_entanglement(phi), atol=1e-4
-        )
-        # the returned measurement reproduces the value through the long way
-        inst = build_instrument(povm, phi)
-        np.testing.assert_allclose(rot(inst), value, atol=1e-6)
+def _bell_t_and_r_e(rho):
+    """(T of the Bell-measurement instrument on rho, R_E(rho))."""
+    return rot(build_instrument(bell_povm(rho.dims[0]), rho)), robustness_of_entanglement(rho)
 
-    def test_product_state_stays_classical(self):
+
+class TestBellMeasurementReachesEntanglementRobustness:
+    """T(Bell, rho) = R_E(rho) under the PPT relaxation, and no measurement
+    M extracts more: T(M, rho) <= R_E(rho)."""
+
+    @settings(deadline=None, max_examples=8)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_equal_on_random_qubit_states(self, seed, rank):
+        rho = rand_state((2, 2), rank=rank, rng=np.random.default_rng(seed))
+        t, r_e = _bell_t_and_r_e(rho)
+        assert abs(t - r_e) <= 1e-6
+
+    @pytest.mark.parametrize("seed, rank, expected", [(0, 2, 0.775647155), (1, 9, 0.202611766)])
+    def test_equal_on_seeded_qutrit_states(self, seed, rank, expected):
+        t, r_e = _bell_t_and_r_e(rand_state((3, 3), rank=rank, rng=np.random.default_rng(seed)))
+        assert abs(t - r_e) <= 1e-6
+        assert abs(t - expected) <= 1e-6
+
+    def test_isotropic_qutrit_closed_form(self):
+        """Both equal d F - 1 with F = p + (1 - p) / d^2 at d = 3, p = 0.8."""
+        t, r_e = _bell_t_and_r_e(isotropic_state(0.8, 3))
+        expected = 3 * (0.8 + 0.2 / 9) - 1
+        assert abs(t - expected) <= 1e-6
+        assert abs(r_e - expected) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_turned_bell_measurement_stays_below(self, seed):
+        """A Bell measurement conjugated by a Haar-random unitary on V' (x) A,
+        on a random pure state, extracts 0.1 < T <= R_E: the bound is met
+        by a nonzero T, not by T = 0."""
+        rng = np.random.default_rng(seed)
+        rho = rand_state((2, 2), rank=1, rng=rng)
+        u = rand_unitary(4, rng)
+        turned = Povm([dagger(u) @ m @ u for m in bell_povm(2).elements], (2, 2))
+        t = rot(build_instrument(turned, rho))
+        assert 0.1 < t <= robustness_of_entanglement(rho) + 1e-6
+
+    def test_product_state_gives_none(self):
+        """T = 0 on a product state, for the Bell measurement and for a
+        random one."""
         rng = np.random.default_rng(5)
         rho = DensityMatrix(
             tensor(rand_state((2,), rng=rng).matrix, rand_state((2,), rng=rng).matrix),
             (2, 2),
         )
-        value, _ = rot_max_over_povm(rho, rounds=2, seed=1, restarts=1)
-        assert abs(value) <= 1e-6
-
-    def test_isotropic_qutrit_reaches_the_closed_form(self):
-        """T = d F - 1 with F = p + (1 - p) / d^2, from the default tolerance."""
-        value, _ = rot_max_over_povm(isotropic_state(0.8, 3), restarts=1)
-        assert abs(value - (3 * (0.8 + 0.2 / 9) - 1)) <= 1e-6
-
-    def test_value_history_is_non_decreasing(self):
-        rng = np.random.default_rng(6)
-        rho = rand_state((2, 2), rank=1, rng=rng)
-        _, _, history = _seesaw_over_povm(rho, bell_povm(2), 5, 1e-10, 1e-7)
-        for earlier, later in zip(history, history[1:]):
-            assert later >= earlier - 1e-9
-
-    @settings(deadline=None, max_examples=5)
-    @given(st.integers(0, 50))
-    def test_never_exceeds_entanglement_robustness(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = rand_state((2, 2), rank=2, rng=rng)
-        value, _ = rot_max_over_povm(rho, rounds=3, seed=seed, restarts=0)
-        assert value <= robustness_of_entanglement(rho) + 1e-6
+        for povm in (bell_povm(2), rand_povm((2, 2), 4, rng=rng)):
+            assert abs(rot(build_instrument(povm, rho))) <= 1e-6

@@ -1,15 +1,19 @@
-"""Every module-level import in the package is used or re-exported, and
-every module-level private helper is called.
+"""Every module-level import in the package is used or re-exported,
+every module-level private helper is called, and every name a module
+lists in ``__all__`` exists in it.
 
 No linter ships with the test environment, so this parses each module
 with ``ast``: a name bound by a top-level ``import`` or ``from ... import``
 must be read somewhere in the module (annotations count) or be listed in
 its ``__all__``; a top-level ``def _name`` must be read somewhere in the
 package outside its own body.  Helpers are matched by name, so a read
-of ``_name`` in any module counts for every module defining it.
+of ``_name`` in any module counts for every module defining it.  The
+``__all__`` check imports each module, as ``from module import *`` would.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,20 @@ def test_checker_flags_a_dead_private_helper():
         "b.py": ast.parse("from .a import _imported\n\ndef run():\n    return _used(), _imported()\n"),
     }
     assert _dead_private_helpers(trees) == [("a.py", 4, "_dead")]
+
+
+def _stale_exports(module):
+    """Names in ``module.__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    name = "telerobust" if path.stem == "__init__" else f"telerobust.{path.stem}"
+    assert _stale_exports(importlib.import_module(name)) == []
+
+
+def test_checker_flags_a_stale_export():
+    module = types.ModuleType("synthetic")
+    exec("__all__ = ['kept', 'gone']\n\ndef kept():\n    pass\n", module.__dict__)
+    assert _stale_exports(module) == ["gone"]
