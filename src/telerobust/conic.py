@@ -36,19 +36,39 @@ the factorizations, scaling and step lengths run as one batched call per
 size.
 
 The Schur system takes one of two routes, chosen by the row count m.  A
-program of at most ``_NUMPY_ROWS`` = 84 rows (every d = 2 robustness
-dual of up to five outcomes) forms the m x m Schur matrix, tests it for
-positive definiteness with numpy's Cholesky and solves it with numpy's
-LU.  A larger program is factored by block Cholesky on scipy's LAPACK and
-BLAS kernels, which ``solve`` imports before the first iterate of the
-first such program, so a run that only solves small programs never loads
+program of at most ``_NUMPY_ROWS`` = 128 rows forms the m x m Schur
+matrix, tests it for positive definiteness with numpy's Cholesky and
+solves it with numpy's LU.  At d = 2 that covers robustness duals of up
+to 7 outcomes (16 k + 4 rows, 116 at k = 7) and classical benchmarks of
+up to 6 payoffs (16 k + 17 rows, 113 at k = 6).  A discrimination task
+built from a k-outcome instrument has k + 1 payoffs with its padding, so
+a Bell measurement's task (k = 4) has a 97-row benchmark.  A larger
+program is factored by block Cholesky on scipy's LAPACK and BLAS
+kernels, which ``solve`` imports before the first iterate of the first
+such program, so a run that only solves small programs never loads
 scipy.  When the supports form a block arrow (k disjoint supports of
 equal size, one block on every row with the same coefficients on each of
 them, and border rows in none of them, as in the robustness dual), that
 factor takes the arrow form: one Cholesky per local support and one for
-the border, and no m x m matrix.  Every other program has k = 0, and its border is the whole
-Schur matrix, factored densely by the same routine.  Both routes retry a
-failed factorization on the same ladder of diagonal ridges.
+the border, and no m x m matrix.  Every other program has k = 0, and its
+border is the whole Schur matrix, factored densely by the same routine.
+Both routes retry a failed factorization on the same ladder of diagonal
+ridges.
+
+The bound trades a little solve time for the import (one BLAS thread, a
+2-vCPU Intel Xeon).  Importing scipy's kernels after the package takes
+0.17-0.25 s and 21.4 MiB of peak RSS, once per process.  Programs
+without the arrow read within noise on either route: the 97-row classical
+benchmark solved in 25-29 ms on numpy against 26-27 ms on scipy's dense
+Cholesky (medians of 20 solves, three rounds), and a 113-row six-payoff
+one in 19-25 ms against 18-28 ms.  The arrow programs between 84 and 128
+rows pay more: the 6- and 7-outcome d = 2 duals (100 and 116 rows) took
+1.05-1.06 and 1.09-1.10 times as long on numpy as on scipy's arrow
+factor, about 1-2 ms of a 14-29 ms solve, in the same number of
+iterations (median ratio of 60 paired solves, three random instruments
+each).  The import costs as much as about a hundred such solves.  A fresh
+``discrim ratio`` at d = 2 took 0.30-0.39 s at 38.5 MiB on the numpy
+route, against 0.58-0.70 s at 60.7 MiB with the bound at 84 rows.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
 measurement on an isotropic state: the dual robustness program takes
@@ -60,8 +80,7 @@ check, takes about 0.025-0.045 s (144 rows) and 0.9-1.1 s (1539 rows).
 Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
 the primal 0.4-0.7 ms and 2-3.7 ms.  Re-checking either certificate
 runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.  A fresh interpreter
-imports the package in about 0.2 s at 35 MB peak RSS; scipy's kernels add
-about 0.25 s and 21 MB, paid once, by the first program above the bound.
+imports the package in about 0.2 s at 35 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -87,9 +106,11 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 # Programs with at most this many rows solve their Schur system with numpy
-# alone (every d = 2 robustness dual of up to 5 outcomes); larger ones
-# take the arrow or dense factor on scipy's kernels, loaded on first use.
-_NUMPY_ROWS = 84
+# alone (at d = 2: robustness duals of up to 7 outcomes, classical
+# benchmarks of up to 6 payoffs), without scipy's import; larger ones take
+# the arrow or dense factor on scipy's kernels, loaded on first use.  The
+# module docstring gives the measured trade.
+_NUMPY_ROWS = 128
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 

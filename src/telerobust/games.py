@@ -369,13 +369,11 @@ def fidelity_game_of(inputs: InputEnsemble, outcomes: int) -> CorrelationGame:
     so the input state is sum_x w_x |x><x| (x) omega_x; each of the
     ``outcomes`` slots has target sum_x |x><x| (x) omega_x and payoff 1,
     which makes the game score collapse to the weighted overlap of the
-    corrected output with the probe.  Requires pure probes of one
-    dimension.
+    corrected output with the probe.  Requires pure probes (an
+    :class:`InputEnsemble` holds probes of one dimension).
     """
     d = inputs.states[0].dim
     for x, st in enumerate(inputs.states):
-        if st.dim != d:
-            raise ValueError(f"probe {x} has dimension {st.dim}, but probe 0 has dimension {d}")
         if np.linalg.eigvalsh(st.matrix)[-1] < 1.0 - 1e-9:
             raise ValueError(f"probe {x} is mixed; the fidelity game needs pure probes")
     n = len(inputs.states)

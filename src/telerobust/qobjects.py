@@ -171,7 +171,7 @@ class TeleportationInstrument:
 
 @dataclass
 class InputEnsemble:
-    """Weighted probe states used for scoring and tomography."""
+    """Weighted probe states of one dimension, used for scoring and tomography."""
 
     states: list
     weights: np.ndarray
@@ -182,6 +182,10 @@ class InputEnsemble:
             raise ValueError("weights and states differ in length")
         if np.any(self.weights < -1e-12) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must form a probability distribution")
+        d = self.states[0].dim
+        for x, st in enumerate(self.states):
+            if st.dim != d:
+                raise ValueError(f"probe {x} has dimension {st.dim}, but probe 0 has dimension {d}")
 
     @property
     def tomographically_complete(self):

@@ -303,11 +303,11 @@ def rot_many(instrs, tol=1e-8) -> list[float]:
     (``os.sched_getaffinity``), else ``os.cpu_count()``.
 
     ``fork`` rather than ``spawn``: a spawned worker imports numpy and
-    this package afresh (about 0.2 s, and 0.25 s more for scipy on a
-    program above ``conic._NUMPY_ROWS``), longer than a d = 2 solve takes
-    (about 20 ms).  The workers inherit this process's state, the BLAS thread
-    setting included, so each of N workers runs as many BLAS threads as
-    this process would.
+    this package afresh (about 0.2 s, and 0.17-0.25 s more for scipy on a
+    program above ``conic._NUMPY_ROWS`` = 128 rows), longer than a d = 2
+    solve takes (about 20 ms).  The workers inherit this process's state,
+    the BLAS thread setting included, so each of N workers runs as many
+    BLAS threads as this process would.
     """
     instrs = list(instrs)
     workers = min(_usable_cpus(), len(instrs))

@@ -33,6 +33,7 @@ from telerobust.rot import rot_dual, rot_dual_problem, rot_primal_problem
 from telerobust.serialize import (
     FileFormatError,
     TomographyData,
+    encode_matrix,
     file_digest,
     load_experiment,
     record_loads,
@@ -576,6 +577,20 @@ class TestPptWarning:
         assert "positive-partial-transpose" in rec.warnings[0]
 
 
+def _save_probes_of_dimensions_2_and_3(path):
+    """A probes file whose second probe is 3-dimensional, as an edited file would be.
+
+    ``InputEnsemble`` refuses such probes, so the file is written from a
+    two-probe qubit ensemble whose second state is then replaced.
+    """
+    qubit = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+    save_experiment(path, {"probes": InputEnsemble([qubit, qubit], np.array([0.5, 0.5]))})
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["objects"]["probes"]["states"][1] = encode_matrix(np.diag([1.0, 0.0, 0.0]), (3,))
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 class TestFidelity:
     def test_ideal_with_explicit_probes(self, files, tmp_path):
         code, rec = run_record(
@@ -599,12 +614,7 @@ class TestFidelity:
         assert abs(rec.values["average_fidelity"] - 1.0) <= 1e-9
 
     def test_probes_of_different_dimensions_exit_3_naming_the_probe(self, files, tmp_path, capsys):
-        probes = InputEnsemble(
-            [DensityMatrix(np.diag([1.0, 0.0]), (2,)), DensityMatrix(np.diag([1.0, 0.0, 0.0]), (3,))],
-            np.array([0.5, 0.5]),
-        )
-        path = tmp_path / "mixed_dims.json"
-        save_experiment(path, {"probes": probes})
+        path = _save_probes_of_dimensions_2_and_3(tmp_path / "mixed_dims.json")
         code = cli.main(["fidelity", "--instrument", str(files["ideal2"]), "--inputs", str(path)])
         assert code == 3
         assert "probe 1 has dimension 3, but probe 0 has dimension 2" in capsys.readouterr().err
@@ -832,6 +842,19 @@ class TestInstrumentFlow:
         assert "raw fit" not in err
         assert not fit_file.exists()
 
+    def test_fit_with_probes_of_different_dimensions_exits_3_naming_the_probe(self, tmp_path, capsys):
+        inputs = _save_probes_of_dimensions_2_and_3(tmp_path / "mixed_dims.json")
+        qubit = np.diag([1.0, 0.0])
+        data_file = tmp_path / "tomo.json"
+        fit_file = tmp_path / "fitted.json"
+        outputs = [[choi_apply(j, 2, 2, qubit)] * 2 for j in ideal_instrument(2).mats]
+        save_experiment(data_file, {"data": TomographyData(outputs)})
+        code = cli.main(["instrument", "fit", "--inputs", str(inputs), "--data", str(data_file), "--save", str(fit_file)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: $.objects.probes: probe 1 has dimension 3, but probe 0 has dimension 2" in err, err
+        assert "reshape" not in err and not fit_file.exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -1028,10 +1051,35 @@ class TestDeterminism:
         assert first.inputs == second.inputs
         assert first.certificates == second.certificates
 
+    def test_fresh_processes_with_the_default_blas_threads_agree(self, tmp_path):
+        """Two ``rot compute`` processes at d = 3 give the same record, with the BLAS threads the CLI gets.
+
+        ``conftest.py`` runs the suite with one BLAS thread; these
+        processes run without the thread variables, as the CLI does when
+        a user starts it, and solve the 738-row dual on scipy's kernels.
+        """
+        path = tmp_path / "iso3.json"
+        save_experiment(path, {"instrument": build_instrument(bell_povm(3), isotropic_state(0.7, 3))})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        records = []
+        for name in ("first.json", "second.json"):
+            argv = ["rot", "compute", "--instrument", str(path), "--out", str(tmp_path / name)]
+            done = subprocess.run([sys.executable, "-m", "telerobust", *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            records.append(record_loads((tmp_path / name).read_text(encoding="utf-8")))
+        first, second = records
+        assert abs(first.values["robustness"] - 1.2) <= 1e-6
+        assert first.values == second.values
+        assert first.inputs == second.inputs
+        assert first.certificates == second.certificates
+
 
 # Run in a fresh interpreter: scipy must stay unloaded through a d = 2
-# ``rot compute`` and a ``sim check`` (pinned to one CPU so that its
-# robustness programs are solved in this process), and load for d = 3.
+# ``rot compute``, a ``sim check`` (pinned to one CPU so that its
+# robustness programs are solved in this process) and the discrimination
+# commands, whose classical benchmark has 97 rows, and load for d = 3.
 _SCIPY_ON_DEMAND = r"""
 import os, sys
 import telerobust.cli as cli
@@ -1051,6 +1099,10 @@ def rot_compute(d, p):
 path, _ = rot_compute(2, 0.7)
 argv = ["sim", "check", "--instrument", path, "--classical", "4", "--quantum", "2", "--mixtures", "2"]
 assert cli.main(argv + ["--seed", "0", "--out", f"{root}/check.json"]) == 0
+task = f"{root}/task.json"
+assert cli.main(["discrim", "build-from-dual", "--instrument", path, "--save", task, "--out", f"{root}/b.json"]) == 0
+assert cli.main(["discrim", "classical", "--e", task, "--out", f"{root}/c.json"]) == 0
+assert cli.main(["discrim", "ratio", "--e", task, "--instrument", path, "--out", f"{root}/r.json"]) == 0
 assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command"
 _, t = rot_compute(3, 0.7)
 assert "scipy" in sys.modules, "scipy not loaded by the d = 3 dual"

@@ -21,9 +21,10 @@ from telerobust.conic import (
     svec_stack,
     verify_certificate,
 )
+from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble
 from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose, tensor
 from telerobust.qobjects import bell_povm, build_instrument, isotropic_state, rand_povm, rand_state
-from telerobust.rot import rot_certified, rot_dual_problem, rot_primal_problem
+from telerobust.rot import rot_certified, rot_dual, rot_dual_problem, rot_primal_problem
 
 
 def _min_trace_problem():
@@ -464,6 +465,7 @@ def _routes(std, wh):
         ("d2_2", 2, 16, 4),
         ("d2_4", 4, 16, 4),
         ("d2_5", 5, 16, 4),
+        ("d2_7", 7, 16, 4),
         ("d3_bell", 9, 81, 9),
         ("dv2_db3", 3, 36, 9),
     ],
@@ -488,16 +490,37 @@ def test_arrow_solve_matches_dense_schur_solve(case, k, r, border):
             assert np.linalg.norm(msolve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref), route
 
 
+def _classical_benchmark_program(monkeypatch):
+    """The classical benchmark of the d = 2 task built from a 4-outcome dual.
+
+    It has one PPT block per payoff (four branches and the padding):
+    97 rows, no block arrow.
+    """
+    seen = []
+    real = rot_module.solve_checked
+    with monkeypatch.context() as patch:
+        patch.setattr(rot_module, "solve_checked", lambda prob, **kw: seen.append(prob) or real(prob, **kw))
+        dual = rot_dual(build_instrument(bell_povm(2), isotropic_state(0.7, 2)))
+        classical_p_succ_ensemble(build_discrimination_from_dual(dual)[0])
+    return seen[-1]
+
+
 def test_factor_takes_numpy_up_to_the_row_bound(monkeypatch):
-    """``factor`` takes the numpy route at m <= _NUMPY_ROWS and the arrow above it."""
+    """``factor`` takes the numpy route at m <= _NUMPY_ROWS = 128 and the arrow above it.
+
+    The 5-outcome d = 2 dual (84 rows) and the 97-row classical benchmark
+    of a 4-outcome discrimination task take numpy; the 8-outcome d = 2
+    dual (132 rows) and the d = 3 dual (738 rows) take the arrow.
+    """
+    programs = [_dual_of("d2_5"), _classical_benchmark_program(monkeypatch), _dual_of("d2_8"), _dual_of("d3_bell")]
     taken = []
     monkeypatch.setattr(conic, "_numpy_solver", lambda mmat: taken.append(("numpy", len(mmat))))
     monkeypatch.setattr(_Standard, "arrow_factor", lambda self, gs: taken.append(("arrow", self.m)))
     rng = np.random.default_rng(2)
-    for case in ("d2_5", "d3_bell"):
-        std = _Standard(_dual_of(case))
+    for prob in programs:
+        std = _Standard(prob)
         std.factor(_rand_scalings(std, rng))
-    assert taken == [("numpy", 84), ("arrow", 738)]
+    assert taken == [("numpy", 84), ("numpy", 97), ("arrow", 132), ("arrow", 738)]
 
 
 def test_primal_and_classical_programs_factor_densely(monkeypatch):
@@ -508,7 +531,7 @@ def test_primal_and_classical_programs_factor_densely(monkeypatch):
     rot_module.classical_max([np.eye(4), None, np.eye(4)], (2, 2))
     primal = rot_primal_problem(build_instrument(bell_povm(2), isotropic_state(0.7, 2)))[0]
     rng = np.random.default_rng(4)
-    for prob in (primal, seen[0]):
+    for prob in (primal, seen[0], _classical_benchmark_program(monkeypatch)):
         std = _Standard(prob)
         assert std.arrow.local == [] and np.array_equal(std.arrow.perm, np.arange(std.m))
         wh = _rand_scalings(std, rng)
