@@ -66,21 +66,23 @@ rows pay more: the 6- and 7-outcome d = 2 duals (100 and 116 rows) took
 1.05-1.06 and 1.09-1.10 times as long on numpy as on scipy's arrow
 factor, about 1-2 ms of a 14-29 ms solve, in the same number of
 iterations (median ratio of 60 paired solves, three random instruments
-each).  The import costs as much as about a hundred such solves.  A fresh
-``discrim ratio`` at d = 2 took 0.30-0.39 s at 38.5 MiB on the numpy
-route, against 0.58-0.70 s at 60.7 MiB with the bound at 84 rows.
+each, measured while the dual still had 3k + 1 blocks).  The import
+costs as much as about a hundred such solves.  A fresh ``discrim ratio``
+at d = 2 took 0.30-0.39 s at 38.5 MiB on the numpy route, against
+0.58-0.70 s at 60.7 MiB with the bound at 84 rows.
 
 Measured with one BLAS thread on a 2-vCPU Intel Xeon, for Bell
-measurement on an isotropic state: the dual robustness program takes
-about 0.012-0.024 s (68 rows) at d = 2, 0.08-0.12 s (738 rows) at
-d = 3 and 2.2-2.5 s (4112 rows, 230-240 MB peak RSS) at d = 4, and
-that one solve gives the robustness with both certificates
-(``rot.rot_certified``).  The primal program, kept as an independent
-check, takes about 0.025-0.045 s (144 rows) and 0.9-1.1 s (1539 rows).
-Building the dual program takes 0.5-1 ms at d = 2 and 3-6 ms at d = 3,
-the primal 0.4-0.7 ms and 2-3.7 ms.  Re-checking either certificate
-runs no solver: 1-2 ms at d = 2 and 4-7 ms at d = 3.  A fresh interpreter
-imports the package in about 0.2 s at 35 MB peak RSS.
+measurement on an isotropic state: the dual robustness program (2k + 1
+blocks for k outcomes) takes about 0.008-0.015 s (68 rows) at d = 2,
+0.06-0.08 s (738 rows) at d = 3 and 1.6-1.8 s (4112 rows, 179 MiB peak
+RSS, 10 iterations) at d = 4, and that one solve gives the robustness
+with both certificates (``rot.rot_certified``).  The primal program,
+kept as an independent check, takes about 0.025-0.045 s (144 rows) and
+0.9-1.1 s (1539 rows).  Building the dual program takes 0.4-0.8 ms at
+d = 2 and 2.6-4.2 ms at d = 3, the primal 0.4-0.7 ms and 2-3.7 ms.
+Re-checking a certificate runs no solver: the dual's takes 0.7-1.3 ms at
+d = 2 and 3-5 ms at d = 3, the primal's 1-2 ms and 4-7 ms.  A fresh
+interpreter imports the package in about 0.2 s at 35 MB peak RSS.
 """
 
 from __future__ import annotations

@@ -9,8 +9,13 @@ operators F_a, each positive under partial transposition, with
 
 and minimizes tr(tau) - 1.  Its dual searches for outcome-indexed
 witnesses A_a >= 0 together with a normalizing operator B (tr_V B = 1)
-such that every B - A_a splits as P + Q^{T_B} with P, Q >= 0, and
-maximizes d_V * sum_a tr[A_a J_a] - 1.  One solve of the dual gives
+such that every B - A_a equals Q_a^{T_B} with Q_a >= 0, and maximizes
+d_V * sum_a tr[A_a J_a] - 1.  The textbook dual allows B - A_a =
+P_a + Q_a^{T_B} with a further P_a >= 0; that freedom is never needed,
+since (A_a + P_a, 0, Q_a) is feasible whenever (A_a, P_a, Q_a) is and
+scores tr[P_a J_a] >= 0 more.  On the primal side the cone dropped with
+P_a is F_a >= 0, which F_a - J_a >= 0 and J_a >= 0 already imply.  So
+the program has 2k + 1 blocks for k outcomes.  One solve of the dual gives
 both: the optimal cover is read off its multipliers, and the solution is
 accepted only once ``verify_certificate`` passes on it.  Separability is
 relaxed to the positive partial transpose, exact for d_V * d_B <= 6.
@@ -78,7 +83,10 @@ class RotDualSolution:
     tr_V B = 1, and ``decompositions[a]`` is the PSD pair (P_a, Q_a)
     with B - A_a = P_a + Q_a^{T_B}, which certifies that the witnessed
     score d_V * sum_a tr[A_a F_a] - 1 is <= 0 on every classical
-    instrument.  ``value`` is the score on the instrument itself.
+    instrument.  The program solves for Q_a alone, so P_a is an exact
+    zero matrix (see the module docstring); the pair keeps the general
+    form of the certificate.  ``value`` is the score on the instrument
+    itself.
     ``solution`` is the verified solution of ``rot_dual_problem(instr)[0]``;
     rebuild that program to re-check it with ``verify_certificate``.
     """
@@ -164,7 +172,10 @@ def rot_dual_problem(instr: TeleportationInstrument):
 
     Deterministic in the instrument (see :func:`rot_primal_problem`).
     Returns the problem and the block handles of the witnesses, the
-    normalizer, and the decomposition pairs.
+    normalizer and the Q_a.  The blocks are, in order, A_a for every
+    outcome, B, and Q_a for every outcome: 2k + 1 in all.  The rows are
+    the operator equalities B - A_a - Q_a^{T_B} = 0, one per outcome,
+    then tr_V B = 1.
     """
     d_v, d_b = instr.dims
     n = d_v * d_b
@@ -172,7 +183,6 @@ def rot_dual_problem(instr: TeleportationInstrument):
     prob = SdpProblem()
     a_blocks = [prob.add_block(n) for _ in js]
     b_block = prob.add_block(n)
-    p_blocks = [prob.add_block(n) for _ in js]
     q_blocks = [prob.add_block(n) for _ in js]
 
     prob.set_objective(
@@ -182,36 +192,31 @@ def rot_dual_problem(instr: TeleportationInstrument):
     def pt_neg(q):
         return -partial_transpose(q, (d_v, d_b), 1)
 
-    for a, p, q in zip(a_blocks, p_blocks, q_blocks):
-        prob.add_operator_equality(
-            [(b_block, 1.0), (a, -1.0), (p, -1.0), (q, pt_neg)], np.zeros((n, n))
-        )
+    for a, q in zip(a_blocks, q_blocks):
+        prob.add_operator_equality([(b_block, 1.0), (a, -1.0), (q, pt_neg)], np.zeros((n, n)))
     prob.add_operator_equality(
         [(b_block, lambda m: partial_trace(m, (d_v, d_b), keep=(1,)))], np.eye(d_b)
     )
-    return prob, a_blocks, b_block, p_blocks, q_blocks
+    return prob, a_blocks, b_block, q_blocks
 
 
 def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     """Teleportation robustness by witness maximization.
 
     Solves max d_V * sum_a tr[A_a J_a] - 1 over PSD witnesses A_a and a
-    PSD B with tr_V B = 1 such that each B - A_a decomposes as
-    P_a + Q_a^{T_B}.  The solution is verified against every constraint,
-    and the decompositions are returned so the certificate can be
+    PSD B with tr_V B = 1 such that each B - A_a equals Q_a^{T_B} with
+    Q_a PSD.  The solution is verified against every constraint, and the
+    decompositions (0, Q_a) are returned so the certificate can be
     re-verified without touching the solver.
     """
     d_v = instr.dims[0]
     js = instr.mats
-    prob, a_blocks, b_block, p_blocks, q_blocks = rot_dual_problem(instr)
+    prob, a_blocks, b_block, q_blocks = rot_dual_problem(instr)
 
     sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
     a_ops = [hermitize(sol.primal_blocks[a]) for a in a_blocks]
     b_op = hermitize(sol.primal_blocks[b_block])
-    pairs = [
-        (hermitize(sol.primal_blocks[p]), hermitize(sol.primal_blocks[q]))
-        for p, q in zip(p_blocks, q_blocks)
-    ]
+    pairs = [(np.zeros_like(b_op), hermitize(sol.primal_blocks[q])) for q in q_blocks]
     value = d_v * float(sum(np.vdot(a, j).real for a, j in zip(a_ops, js))) - 1.0
 
     return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, solution=sol)
@@ -223,13 +228,14 @@ def _primal_from_dual(instr, dual: RotDualSolution):
     The dual program's multipliers, stated for its minimization form,
     are y_a for the a-th decomposition equality and y_tau for
     tr_V B = 1.  With F_a = smat(y_a)/d_V and tau = -smat(y_tau), its dual
-    slacks are d_V (F_a - J_a), the cap 1 (x) tau - d_V * sum_a F_a,
-    d_V F_a and (d_V F_a)^{T_B}, and its dual value is tr(tau) - 1.  The
-    verified dual solution has passed all of these, so the cover is
-    assembled by arithmetic only.  In turn the witnesses are the primal
-    program's multipliers: svec(d_V A_a) for the a-th domination row and
-    svec(B) for the cap, and the dual slack d_V (B - A_a) of F_a (PPT
-    block a) splits as d_V P_a + (d_V Q_a)^{T_B}.
+    slacks are d_V (F_a - J_a), the cap 1 (x) tau - d_V * sum_a F_a and
+    (d_V F_a)^{T_B}, and its dual value is tr(tau) - 1.  The verified
+    dual solution has passed all of these, so the cover is assembled by
+    arithmetic only; F_a >= 0 follows from F_a - J_a >= 0 and J_a >= 0.
+    In turn the witnesses are the primal program's multipliers:
+    svec(d_V A_a) for the a-th domination row and svec(B) for the cap,
+    and the dual slack d_V (B - A_a) of F_a (PPT block a) splits as
+    0 + (d_V Q_a)^{T_B}.
     """
     d_v, d_b = instr.dims
     n = d_v * d_b
@@ -244,7 +250,7 @@ def _primal_from_dual(instr, dual: RotDualSolution):
         status="optimal",
         primal_blocks=f_ops + [tau_op] + gaps + [cap],
         dual_multipliers=np.concatenate([svec(d_v * a) for a in dual.witnesses_A] + [svec(dual.B_op)]),
-        ppt_pairs={a: (d_v * p, d_v * q) for a, (p, q) in enumerate(dual.decompositions)},
+        ppt_pairs={a: (p, d_v * q) for a, (p, q) in enumerate(dual.decompositions)},
         primal_value=value,
         dual_value=dual.value,
         gap=abs(value - dual.value) / (1.0 + abs(value) + abs(dual.value)),
@@ -259,7 +265,9 @@ def rot_certified(instr: TeleportationInstrument, tol=1e-8) -> RotCertificates:
 
     Solves the witness program (:func:`rot_dual`), whose verified
     solution already certifies every constraint of the cover, and reads
-    the optimal classical cover off its multipliers.  The two values
+    the optimal classical cover off its multipliers.  The witness program
+    has no block whose dual slack is F_a, because F_a >= 0 follows from
+    the checked F_a - J_a >= 0 and from J_a >= 0.  The two values
     bound the robustness from below and above; an interval wider than
     10 * tol is an error rather than a silently wrong number.
     """

@@ -70,10 +70,15 @@ READABLE_VERSIONS = (1, 2)
 
 
 class FileFormatError(ValueError):
-    """A file failed validation; ``path`` points at the offending entry."""
+    """A file failed validation; ``path`` points at the offending entry.
+
+    For an entry of an experiment file, ``path`` is the file name followed
+    by the entry's JSON path; ``message`` says what is wrong with it.
+    """
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -419,7 +424,11 @@ def save_experiment(path, objects):
 
 
 def load_experiment(path):
-    """Read an experiment file back into named, validated domain objects."""
+    """Read an experiment file back into named, validated domain objects.
+
+    A ``FileFormatError`` names the file, then the JSON path of the
+    offending entry: ``probes.json: $.objects.probes: ...``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -427,18 +436,21 @@ def load_experiment(path):
         raise FileFormatError(str(path), f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(str(path), f"not valid JSON: {exc}") from exc
-    _expect(isinstance(payload, dict), "$", "expected a JSON object")
-    version = payload.get("version")
-    _expect(
-        isinstance(version, int) and not isinstance(version, bool) and version in READABLE_VERSIONS,
-        "$.version",
-        f"expected one of {list(READABLE_VERSIONS)}",
-    )
-    objs = payload.get("objects")
-    _expect(isinstance(objs, dict) and objs, "$.objects", "expected a non-empty object map")
-    return {
-        name: decode_object(obj, f"$.objects.{name}", version) for name, obj in objs.items()
-    }
+    try:
+        _expect(isinstance(payload, dict), "$", "expected a JSON object")
+        version = payload.get("version")
+        _expect(
+            isinstance(version, int) and not isinstance(version, bool) and version in READABLE_VERSIONS,
+            "$.version",
+            f"expected one of {list(READABLE_VERSIONS)}",
+        )
+        objs = payload.get("objects")
+        _expect(isinstance(objs, dict) and objs, "$.objects", "expected a non-empty object map")
+        return {
+            name: decode_object(obj, f"$.objects.{name}", version) for name, obj in objs.items()
+        }
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc.path}", exc.message) from exc
 
 
 def certificate_payload(sol: SdpSolution):

@@ -289,6 +289,18 @@ class TestExitCodes:
         assert code == 3
         assert re.search(path, capsys.readouterr().err)
 
+    def test_error_in_one_of_two_files_names_that_file(self, files, tmp_path, capsys):
+        """With a task and an instrument file, the error names the task file, then the JSON path."""
+        payload = json.loads(files["task40"].read_text(encoding="utf-8"))
+        payload["objects"]["task"]["multiplicities"][0] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code = cli.main(["discrim", "ratio", "--e", str(bad), "--instrument", str(files["iso07"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: {bad}: $.objects.task.multiplicities[0]: expected a positive integer" in err, err
+        assert str(files["iso07"]) not in err
+
 
 def _leaves(parser, path=()):
     """(command path, parser) for every command the CLI accepts."""
@@ -852,7 +864,9 @@ class TestInstrumentFlow:
         code = cli.main(["instrument", "fit", "--inputs", str(inputs), "--data", str(data_file), "--save", str(fit_file)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "error: $.objects.probes: probe 1 has dimension 3, but probe 0 has dimension 2" in err, err
+        # the probes file is named before the JSON path; the data file is not named
+        assert f"error: {inputs}: $.objects.probes: probe 1 has dimension 3, but probe 0 has dimension 2" in err, err
+        assert str(data_file) not in err
         assert "reshape" not in err and not fit_file.exists()
 
     @pytest.mark.parametrize(
@@ -1042,6 +1056,9 @@ class TestSweep:
         assert "$.d" in err and "expected the integer 2" in err and "Traceback" not in err
 
 
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestDeterminism:
     def test_rerun_reproduces_values_and_digests(self, files, tmp_path):
         args = ["rot", "compute", "--instrument", str(files["ideal2"])]
@@ -1054,14 +1071,16 @@ class TestDeterminism:
     def test_fresh_processes_with_the_default_blas_threads_agree(self, tmp_path):
         """Two ``rot compute`` processes at d = 3 give the same record, with the BLAS threads the CLI gets.
 
-        ``conftest.py`` runs the suite with one BLAS thread; these
-        processes run without the thread variables, as the CLI does when
-        a user starts it, and solve the 738-row dual on scipy's kernels.
+        These processes start without the thread variables, as a user's
+        shell does, so they check the setup the CLI ships: ``cli.py``
+        defaults them to one thread before numpy loads (see
+        ``test_cli_defaults_to_one_blas_thread``).  Each solves the
+        738-row dual on scipy's kernels.
         """
         path = tmp_path / "iso3.json"
         save_experiment(path, {"instrument": build_instrument(bell_povm(3), isotropic_state(0.7, 3))})
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         records = []
         for name in ("first.json", "second.json"):
@@ -1074,6 +1093,22 @@ class TestDeterminism:
         assert first.values == second.values
         assert first.inputs == second.inputs
         assert first.certificates == second.certificates
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+    ids=["unset", "user_set"],
+)
+def test_cli_defaults_to_one_blas_thread(preset, expected):
+    """Importing the CLI in a fresh interpreter sets each unset thread variable to 1 and keeps a user's value."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import os, telerobust.cli; print(*(os.environ.get(n) for n in {_BLAS_VARIABLES!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == expected
 
 
 # Run in a fresh interpreter: scipy must stay unloaded through a d = 2

@@ -411,9 +411,9 @@ def test_schur_matches_dense_reference_on_robustness_programs(name):
     """Per-support row operations against the dense rows, on the real programs.
 
     The d = 2 primal has 5 supports that are not one contiguous range, so
-    it takes the index-array and ``np.ix_`` paths.  The d = 3 dual has 28
-    blocks on 10 supports: each outcome's three blocks share its 81 rows,
-    and the normaliser covers all 738.
+    it takes the index-array and ``np.ix_`` paths.  The d = 3 dual has 19
+    blocks on 10 supports: each outcome's two blocks (A_a, Q_a) share its
+    81 rows, and the normaliser covers all 738.
     """
     prob = _program(name)
     std = _Standard(prob)
@@ -423,8 +423,8 @@ def test_schur_matches_dense_reference_on_robustness_programs(name):
     if name == "d2_primal":
         assert len(scattered) == 5
     else:
-        assert (std.m, len(std.sizes), len(std.supports), scattered) == (738, 28, 10, [])
-        assert sorted(len(s.members) for s in std.supports) == [1] + [3] * 9
+        assert (std.m, len(std.sizes), len(std.supports), scattered) == (738, 19, 10, [])
+        assert sorted(len(s.members) for s in std.supports) == [1] + [2] * 9
         assert any(s.index == (slice(0, 738),) * 2 for s in std.supports)
     assert sum(len(s.members) for s in std.supports) == len(std.sizes)
 
@@ -554,7 +554,7 @@ def test_singular_pivot_takes_the_dense_ridge():
     rng = np.random.default_rng(8)
     wh = _rand_scalings(std, rng)
     (group,) = wh
-    group[[0, 4, 5, 9]] = 0.0  # A_0, B, P_0, Q_0
+    group[[0, 4, 5]] = 0.0  # A_0, B, Q_0
     rhs = rng.standard_normal(std.m)
     mmat = std.schur(wh)
     base = np.trace(mmat) / std.m
@@ -803,7 +803,7 @@ class TestShapeCheck:
     """A solution that does not fit the problem fails one named ``shape`` check.
 
     The certificate is the robustness dual of an isotropic d = 2
-    instrument: 13 blocks of size 4 and 68 rows.
+    instrument: 9 blocks of size 4 and 68 rows.
     """
 
     @pytest.fixture(scope="class")
@@ -832,7 +832,7 @@ class TestShapeCheck:
     def test_primal_block_dropped(self, certificate):
         prob, sol = copy.deepcopy(certificate)
         del sol.primal_blocks[4]
-        assert self._shape_message(prob, sol) == ["expected 13 primal blocks, got 12"]
+        assert self._shape_message(prob, sol) == ["expected 9 primal blocks, got 8"]
 
     def test_primal_block_of_wrong_size(self, certificate):
         prob, sol = copy.deepcopy(certificate)

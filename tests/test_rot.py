@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telerobust import conic as conic_module
-from telerobust.conic import SdpSolution, SolverError, smat, svec, verify_certificate
+from telerobust.conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec, verify_certificate
+from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
+from telerobust.games import build_game_from_dual, classical_game_score, game_score
 from telerobust.linalg import (
     dagger,
     frobenius_norm,
+    hermitize,
     max_entangled,
     min_eig,
     partial_trace,
     partial_transpose,
+    pinv_sqrt,
     tensor,
 )
 from telerobust.qobjects import (
@@ -169,6 +173,95 @@ def test_bell_isotropic_closed_form_at_d4(p, expected):
         assert cert.value <= 1e-8
 
 
+def _dual_with_p_blocks(instr):
+    """The robustness dual with its P_a blocks, B - A_a = P_a + Q_a^{T_B}: 3k + 1 blocks.
+
+    The form ``rot_dual_problem`` reduces by setting every P_a to 0; kept
+    here as the oracle for that reduction.
+    """
+    d_v, d_b = instr.dims
+    n = d_v * d_b
+    prob = SdpProblem()
+    a_blocks = [prob.add_block(n) for _ in instr.mats]
+    b_block = prob.add_block(n)
+    p_blocks = [prob.add_block(n) for _ in instr.mats]
+    q_blocks = [prob.add_block(n) for _ in instr.mats]
+    prob.set_objective({a: d_v * j for a, j in zip(a_blocks, instr.mats)}, offset=-1.0, sense="max")
+
+    def pt_neg(m):
+        return -partial_transpose(m, (d_v, d_b), 1)
+
+    for a, p, q in zip(a_blocks, p_blocks, q_blocks):
+        prob.add_operator_equality([(b_block, 1.0), (a, -1.0), (p, -1.0), (q, pt_neg)], np.zeros((n, n)))
+    prob.add_operator_equality([(b_block, lambda m: partial_trace(m, (d_v, d_b), keep=(1,)))], np.eye(d_b))
+    return prob
+
+
+class TestDualWithoutP:
+    """The dual solves for A_a, B and Q_a with B - A_a = Q_a^{T_B}.
+
+    Any feasible (A_a, P_a, Q_a) of the form with P_a >= 0 gives the
+    feasible (A_a + P_a, 0, Q_a), which scores tr[P_a J_a] >= 0 more, so
+    dropping P_a keeps the optimum.
+    """
+
+    @pytest.mark.parametrize(
+        "d_v, d_a, d_b, outcomes",
+        [(2, 2, 2, k) for k in range(1, 6)] + [(3, 3, 3, 9), (2, 2, 3, 3)],
+        ids=[f"d2-k{k}" for k in range(1, 6)] + ["d3-k9", "dV2-dB3-k3"],
+    )
+    def test_blocks_and_rows(self, d_v, d_a, d_b, outcomes):
+        """2k + 1 blocks of size n = d_V d_B, in the order A_a, B, Q_a, and k n^2 + d_B^2 rows."""
+        n = d_v * d_b
+        rng = np.random.default_rng(outcomes)
+        instr = build_instrument(rand_povm((d_v, d_a), outcomes, rng=rng), rand_state((d_a, d_b), rng=rng))
+        assert (instr.dims, instr.outcomes) == ((d_v, d_b), outcomes)
+        prob, a_blocks, b_block, q_blocks = rot_dual_problem(instr)
+        assert [b.size for b in prob.blocks] == [n] * (2 * outcomes + 1)
+        assert (a_blocks, b_block, q_blocks) == (
+            list(range(outcomes)), outcomes, list(range(outcomes + 1, 2 * outcomes + 1))
+        )
+        assert len(prob.constraints) == outcomes * n * n + d_b * d_b
+
+    @staticmethod
+    def _same_value(instr):
+        reduced = rot_dual(instr).value
+        full = solve_checked(_dual_with_p_blocks(instr), tol=1e-8, what="dual with P blocks").primal_value
+        assert abs(reduced - full) <= 1e-7, (reduced, full)
+        return reduced
+
+    @pytest.mark.parametrize("d, p", _BELL_ISOTROPIC)
+    def test_same_value_as_the_dual_with_p_blocks_on_the_closed_form_grid(self, d, p):
+        self._same_value(build_instrument(bell_povm(d), _isotropic(p, d)))
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 9)])
+    def test_same_value_as_the_dual_with_p_blocks_on_random_instruments(self, d, outcomes):
+        """Random full-rank POVMs on random pure states, all with T > 0."""
+        rng = np.random.default_rng(10 * d + outcomes)
+        instr = build_instrument(rand_povm((d, d), outcomes, rng=rng), rand_state((d, d), rank=1, rng=rng))
+        assert self._same_value(instr) > 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certificates_and_compiled_tasks_on_entangled_instruments(self, seed):
+        """A random rank-1 basis measurement on a random pure state (not
+        Bell-isotropic, T > 0): the cover's decomposition pairs have P = 0
+        exactly, it re-verifies against the primal program, and the game
+        and the discrimination task compiled from the witness score 1 + T
+        against their classical benchmarks."""
+        instr = _random_entangled(np.random.default_rng(seed))
+        cert = rot_certified(instr)
+        assert cert.value > 0.05
+        assert all(not np.any(p) for p, _ in cert.dual.decompositions)
+        assert all(not np.any(p) for p, _ in cert.primal.solution.ppt_pairs.values())
+        report = verify_certificate(rot_primal_problem(instr)[0], cert.primal.solution)
+        assert report.ok, report.messages
+
+        game = build_game_from_dual(cert.dual)
+        assert abs(game_score(game, instr) / classical_game_score(game) - (1.0 + cert.value)) <= 1e-6
+        task, _ = build_discrimination_from_dual(cert.dual, fictitious=10)
+        assert abs(p_succ(task, instr) / classical_p_succ_ensemble(task) - (1.0 + cert.value)) <= 1e-6
+
+
 class TestSolveIsVerified:
     """A solve is accepted only once ``verify_certificate`` passes.
 
@@ -176,10 +269,11 @@ class TestSolveIsVerified:
     ``conic.solve``, so ``conic.solve_checked`` runs its check on the
     tampered solution.  Each tampering breaks one condition of the
     witness program or of the cover read off its multipliers.  The dual
-    program of a d = 2 isotropic instrument has blocks A_a (0-3), B (4),
-    P_a (5-8) and Q_a (9-12); rows 16a .. 16a + 15 hold
-    B - A_a - P_a - Q_a^{T_B} = 0 (multipliers svec(d_V F_a)) and rows
-    64-67 tr_V B = 1 (multipliers -svec(tau)).
+    program of a d = 2 isotropic instrument has blocks A_a (0-3), B (4)
+    and Q_a (5-8); rows 16a .. 16a + 15 hold B - A_a - Q_a^{T_B} = 0
+    (multipliers svec(d_V F_a)) and rows 64-67 tr_V B = 1 (multipliers
+    -svec(tau)).  A shift s * 1 of Q_a shifts Q_a^{T_B} by the same
+    s * 1, so moving s * 1 between A_a and Q_a keeps every row.
     """
 
     SHIFT = 1e-4
@@ -214,7 +308,7 @@ class TestSolveIsVerified:
         def edit(sol):
             s = self._below_zero(sol.primal_blocks[0])
             sol.primal_blocks[0] = sol.primal_blocks[0] - s * np.eye(4)
-            sol.primal_blocks[5] = sol.primal_blocks[5] + s * np.eye(4)
+            sol.primal_blocks[5] = sol.primal_blocks[5] + s * np.eye(4)  # Q_0
 
         self._fails(monkeypatch, edit, "primal_psd_block0")
 
@@ -226,13 +320,15 @@ class TestSolveIsVerified:
 
     def test_normalizer_marginal_off_identity(self, monkeypatch):
         def edit(sol):
-            for k in (4, 5, 6, 7, 8):  # B and every P_a, so only tr_V B moves
+            for k in (4, 5, 6, 7, 8):  # B and every Q_a, so only tr_V B moves
                 sol.primal_blocks[k] = sol.primal_blocks[k] + self.SHIFT * np.eye(4)
 
         self._fails(monkeypatch, edit, "row64")
 
-    @pytest.mark.parametrize("block, partner", [(6, 10), (11, 7)], ids=["P", "Q"])
+    @pytest.mark.parametrize("block, partner", [(7, 2)], ids=["Q"])
     def test_decomposition_pair_not_psd(self, monkeypatch, block, partner):
+        """Q_2 pushed below zero, with A_2 raised so that its row still holds."""
+
         def edit(sol):
             s = self._below_zero(sol.primal_blocks[block])
             sol.primal_blocks[block] = sol.primal_blocks[block] - s * np.eye(4)
@@ -304,8 +400,10 @@ class TestOracleValues:
             p = rot_primal(inst)
             d = rot_dual(inst)
             assert abs(p.value - d.value) <= 1e-6
+            cert = rot_certified(inst)
             mid = rot(inst)
-            np.testing.assert_allclose(mid, 0.5 * (p.value + d.value), atol=1e-9)
+            # rot() is the clamped midpoint of the certified interval
+            assert mid == max(0.0, 0.5 * (cert.primal.value + cert.dual.value))
             # the one-solve value agrees with the independent primal oracle
             assert abs(mid - p.value) <= 1e-7
 
@@ -435,6 +533,31 @@ def test_zero_outcome_and_classical_relabelling(seed):
     t, t_zero, t_relabelled = rot_many([instr, _with_zero_outcome(instr), relabelled])
     assert abs(t_zero - t) <= 1e-7
     assert t_relabelled <= t + 1e-7
+
+
+def _rank_r_povm(rng, d, outcomes, rank):
+    """Random POVM on V (x) A (both of dimension d) whose elements all have rank ``rank``."""
+    raw = []
+    for _ in range(outcomes):
+        g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
+        raw.append(g @ dagger(g))
+    scale = pinv_sqrt(sum(raw))
+    return Povm([hermitize(scale @ m @ scale) for m in raw], (d, d))
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000), st.integers(3, 4))
+def test_qutrit_robustness_is_invariant_under_relabelling_and_local_unitaries(seed, outcomes):
+    """At d = 3, T of a random POVM with 3 or 4 rank-3 outcomes on a random
+    pure state is unchanged, to 1e-7, by an outcome permutation and by
+    local unitaries on V and B.  Rank 3 is the least rank at which 3 or 4
+    elements can sum to the identity on the 9-dimensional V (x) A."""
+    rng = np.random.default_rng(seed)
+    instr = build_instrument(_rank_r_povm(rng, 3, outcomes, 3), rand_state((3, 3), rank=1, rng=rng))
+    permuted = TeleportationInstrument([instr.mats[a] for a in rng.permutation(outcomes)], instr.dims)
+    t, t_perm, t_rot = rot_many([instr, permuted, _local_unitary(instr, rng)])
+    assert abs(t_perm - t) <= 1e-7
+    assert abs(t_rot - t) <= 1e-7
 
 
 def test_qutrit_basis_measurement_keeps_t_under_permutation_and_a_zero_outcome():
