@@ -9,16 +9,54 @@ certificate into the two operational tasks it promises:
   * a branch-discrimination family whose guessing ratio over the classical
     benchmark approaches 1 + T as the fictitious padding grows.
 
+Then it repeats the robustness and the game for the fidelity-blind state
+p |psi-><psi-| + (1 - p) |00><00| at p = 0.2 (Badziag, Horodecki,
+Horodecki & Horodecki, PRA 62, 012311 (2000)): no correction lifts its
+teleportation fidelity above the classical 2/3, yet it is entangled,
+T = p^2 / (4 (1 - p)) = 0.0125, and the game from the certificate still
+pays 1 + T times the classical score.  At an isotropic visibility p <= 1/3
+the Bell instrument is PPT outcome by outcome and its certificates are
+written down without a solve (route "ppt"); the fidelity-blind state is
+not, so it is solved (route "solve").
+
     python3 scripts/worked_example.py --visibility 1.0 --fictitious 10000
 """
 
 import argparse
 import sys
 
+import numpy as np
+
 from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
-from telerobust.games import UnitaryFamily, build_game_from_dual, classical_game_score, game_score
-from telerobust.qobjects import bell_povm, build_instrument, isotropic_state
+from telerobust.games import UnitaryFamily, average_fidelity, build_game_from_dual, classical_game_score, game_score
+from telerobust.qobjects import DensityMatrix, bell_povm, build_instrument, isotropic_state, pauli_six
 from telerobust.rot import rot_certified
+
+BLIND_P = 0.2  # singlet weight of the fidelity-blind state
+
+
+def fidelity_blind_state(p):
+    """p |psi-><psi-| + (1 - p) |00><00| on two qubits."""
+    psi_minus = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi_minus, psi_minus) + (1 - p) * np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+
+
+def game_ratio(cert, instr):
+    """Straight-play score of the certificate's game over its classical score."""
+    game = build_game_from_dual(cert.dual)
+    family = UnitaryFamily("identity_only")
+    return game_score(game, instr, family) / classical_game_score(game, family)
+
+
+def fidelity_blind(p):
+    instr = build_instrument(bell_povm(2), fidelity_blind_state(p))
+    fidelity = average_fidelity(instr, pauli_six(), UnitaryFamily("seesaw_polished"))
+    cert = rot_certified(instr)
+    print(f"\nfidelity-blind state p |psi-><psi-| + (1 - p) |00><00|, p = {p}")
+    print(f"  best fidelity found        {fidelity:.8f}  (classical limit 2/3 = {2 / 3:.8f})")
+    print(f"  robustness T               {cert.value:.8f}  (p^2 / (4 (1 - p)) = {p**2 / (4 * (1 - p)):.8f}, "
+          f"route {cert.route})")
+    print(f"  game advantage ratio       {game_ratio(cert, instr):.8f}  (1 + T = {1 + cert.value:.8f})")
 
 
 def main():
@@ -35,7 +73,8 @@ def main():
     cert = rot_certified(instr)
     dual, t_val = cert.dual, cert.value
     print(f"instrument: Bell measurement on isotropic pair, p = {args.visibility}")
-    print(f"robustness T = {t_val:.8f}  (primal {cert.primal.value:.8f}, dual {dual.value:.8f})")
+    print(f"robustness T = {t_val:.8f}  (primal {cert.primal.value:.8f}, dual {dual.value:.8f}, "
+          f"route {cert.route})")
 
     game = build_game_from_dual(dual)
     score = game_score(game, instr, UnitaryFamily("identity_only"))
@@ -47,18 +86,22 @@ def main():
 
     if dual.value <= 1e-9:
         print("\nno entanglement to leverage; skipping the discrimination family")
-        return 0
+    else:
+        discriminate(dual, instr, t_val, args.fictitious)
+    fidelity_blind(BLIND_P)
+    return 0
 
-    built, cons = build_discrimination_from_dual(dual, fictitious=args.fictitious)
+
+def discriminate(dual, instr, t_val, fictitious):
+    built, cons = build_discrimination_from_dual(dual, fictitious=fictitious)
     numerator = p_succ(built, instr)
     denominator = classical_p_succ_ensemble(built)
-    floor = (1 + t_val) / (1 + 1 / (cons.alpha * args.fictitious))
+    floor = (1 + t_val) / (1 + 1 / (cons.alpha * fictitious))
     print("\ndiscrimination family from the certificate:")
     print(f"  branches                   {built.outcomes}  (alpha = {cons.alpha:.6f}, padding {cons.fictitious_count})")
     print(f"  guessing probability       {numerator:.8f}")
     print(f"  classical benchmark        {denominator:.8f}")
     print(f"  ratio                      {numerator / denominator:.8f}  (>= {floor:.8f}, ceiling {1 + t_val:.8f})")
-    return 0
 
 
 if __name__ == "__main__":

@@ -168,6 +168,8 @@ def cmd_rot_compute(args):
             "primal_value": cert.primal.value,
             "dual_value": cert.dual.value,
             "route_gap": cert.width,
+            "route": cert.route,
+            "iterations": cert.dual.solution.iterations,
         },
         certificates={
             "primal": certificate_payload(cert.primal.solution),

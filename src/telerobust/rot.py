@@ -20,6 +20,24 @@ both: the optimal cover is read off its multipliers, and the solution is
 accepted only once ``verify_certificate`` passes on it.  Separability is
 relaxed to the positive partial transpose, exact for d_V * d_B <= 6.
 
+Under that relaxation T = 0 exactly when every J_a^{T_B} >= 0 (the
+Peres-Horodecki test, one outcome at a time), and then both certificates
+have a closed form: the instrument covers itself, F_a = J_a and
+tau = tr_V sum_a J_a, and the witness A_a = B = 1/d_V with Q_a = 0 scores
+sum_a tr J_a - 1 = 0.  So :func:`rot_dual` tests every J_a^{T_B} with one
+batched ``eigvalsh`` before it solves.  If all pass, it writes that
+solution down, multipliers svec(d_V J_a) and -svec(tau) included, and
+accepts it only if ``verify_certificate`` passes on the dual program at
+max(50 * tol, 1e-9), the test ``solve_checked`` applies to a solve; on
+any miss it solves.  Every caller of :func:`rot_dual` (``rot_certified``,
+``rot``, the forked workers of ``rot_many`` and the commands above them)
+takes that route, and the cover is read off the multipliers as after a
+solve.  For Bell
+measurement on an isotropic state at p = 0.1, ``rot_certified`` took
+1.3-1.4 ms in closed form against 12 ms with a solve at d = 2, 6-7 ms
+against 70 ms at d = 3 and 57-60 ms against 1.07 s at d = 4 (one BLAS
+thread, a 2-vCPU Xeon); checking the certificate is most of that time.
+
 The same machinery evaluates the generalized robustness of entanglement
 R_E of a shared state.  Under the PPT relaxation that is the largest
 teleportation robustness any measurement extracts from the state, and
@@ -38,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec
+from .conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec, verify_certificate
 from .linalg import hermitize, partial_trace, partial_transpose, tensor
 from .qobjects import DensityMatrix, TeleportationInstrument
 
@@ -113,6 +131,12 @@ class RotCertificates:
     value: float
     primal: RotPrimalSolution
     dual: RotDualSolution
+
+    @property
+    def route(self):
+        """"ppt" for the closed-form certificates of an outcome-wise PPT
+        instrument (zero iterations; a solve takes at least one), else "solve"."""
+        return "ppt" if self.dual.solution.iterations == 0 else "solve"
 
     @property
     def width(self):
@@ -200,6 +224,39 @@ def rot_dual_problem(instr: TeleportationInstrument):
     return prob, a_blocks, b_block, q_blocks
 
 
+def _ppt_dual(instr, prob, tol):
+    """The closed-form solution of ``rot_dual_problem(instr)``, or None.
+
+    None unless every J_a^{T_B} >= 0 and the solution passes
+    ``verify_certificate`` at max(50 * tol, 1e-9), the threshold
+    ``solve_checked`` applies.  The witnesses are A_a = B = 1/d_V with
+    Q_a = 0, the multipliers are those of the cover F_a = J_a,
+    tau = tr_V sum_a J_a, and both values are sum_a tr J_a - 1.
+    """
+    d_v, d_b = instr.dims
+    n = d_v * d_b
+    js = instr.mats
+    if np.linalg.eigvalsh(partial_transpose(np.stack(js), instr.dims, 1))[:, 0].min() < -tol:
+        return None
+    tau = partial_trace(sum(js), (d_v, d_b), keep=(1,))
+    value = float(sum(np.trace(j).real for j in js)) - 1.0
+    blocks = [np.eye(n, dtype=complex) / d_v for _ in range(len(js) + 1)]
+    blocks += [np.zeros((n, n), dtype=complex) for _ in js]
+    sol = SdpSolution(
+        status="optimal",
+        primal_blocks=blocks,
+        dual_multipliers=np.concatenate([svec(d_v * j) for j in js] + [-svec(tau)]),
+        primal_value=value,
+        dual_value=value,
+        gap=0.0,
+        iterations=0,
+        message="closed form for an outcome-wise PPT instrument, without a solve",
+    )
+    report = verify_certificate(prob, sol, tol=max(50.0 * tol, 1e-9))
+    sol.max_constraint_violation = report.max_violation
+    return sol if report.ok else None
+
+
 def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     """Teleportation robustness by witness maximization.
 
@@ -208,12 +265,21 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     Q_a PSD.  The solution is verified against every constraint, and the
     decompositions (0, Q_a) are returned so the certificate can be
     re-verified without touching the solver.
+
+    When every J_a^{T_B} >= 0 (to within ``tol``), the solution is the
+    closed form A_a = B = 1/d_V, Q_a = 0 with multipliers svec(d_V J_a)
+    and -svec(tr_V sum_a J_a), of value sum_a tr J_a - 1 = 0, with zero
+    iterations and a ``message`` naming the route.  It is used only if
+    it passes ``verify_certificate`` at max(50 * tol, 1e-9); otherwise
+    the program is solved.
     """
     d_v = instr.dims[0]
     js = instr.mats
     prob, a_blocks, b_block, q_blocks = rot_dual_problem(instr)
 
-    sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
+    sol = _ppt_dual(instr, prob, tol)
+    if sol is None:
+        sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
     a_ops = [hermitize(sol.primal_blocks[a]) for a in a_blocks]
     b_op = hermitize(sol.primal_blocks[b_block])
     pairs = [(np.zeros_like(b_op), hermitize(sol.primal_blocks[q])) for q in q_blocks]

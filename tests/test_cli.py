@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from telerobust.serialize import (
     encode_matrix,
     file_digest,
     load_experiment,
+    record_dumps,
     record_loads,
     save_experiment,
     solution_from_payload,
@@ -474,6 +476,25 @@ class TestRotCompute:
         for prob, key in ((rot_primal_problem(instr)[0], "primal"), (rot_dual_problem(instr)[0], "dual")):
             report = verify_certificate(prob, solution_from_payload(rec.certificates[key]), tol=1e-6)
             assert report.ok, f"{key}: {report.messages}"
+
+    @pytest.mark.parametrize("p, route", [(1.0 / 3.0, "ppt"), (0.2, "ppt"), (0.7, "solve")])
+    def test_record_names_the_route(self, tmp_path, p, route):
+        """``route`` and ``iterations`` say whether T came from the closed form
+        of an outcome-wise PPT instrument (0 iterations) or from a solve; a
+        rerun writes the same bytes apart from the wall time."""
+        path = tmp_path / "iso.json"
+        save_experiment(path, {"instrument": build_instrument(bell_povm(2), isotropic_state(p, 2))})
+        argv = ["rot", "compute", "--instrument", str(path)]
+        code, rec = run_record(argv, tmp_path)
+        assert code == 0
+        assert rec.values["route"] == route
+        assert (rec.values["iterations"] == 0) == (route == "ppt")
+        assert type(rec.values["iterations"]) is int
+        _, again = run_record(argv, tmp_path, "again.json")
+        assert record_dumps(replace(again, wall_time=rec.wall_time)) == record_dumps(rec)
+        assert cli.main([*argv, "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+        head, row = (line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines())
+        assert dict(zip(head, row))["route"] == route
 
     @pytest.mark.parametrize(
         "tamper, where",

@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from telerobust import conic as conic_module
-from telerobust.conic import SdpProblem, SdpSolution, SolverError, smat, solve_checked, svec, verify_certificate
+from telerobust import conic as conic_module, rot as rot_module
+from telerobust.conic import (
+    CertificateReport,
+    SdpProblem,
+    SdpSolution,
+    SolverError,
+    smat,
+    solve_checked,
+    svec,
+    verify_certificate,
+)
 from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
 from telerobust.games import build_game_from_dual, classical_game_score, game_score
 from telerobust.linalg import (
@@ -450,7 +459,9 @@ class TestRotMany:
     """``rot_many`` returns ``[rot(i) for i in instrs]`` from forked workers.
 
     The usable CPUs are monkeypatched, so each test takes the path it
-    names on any machine; no worker may outlive a call.
+    names on any machine; no worker may outlive a call.  ``INSTRS`` mixes
+    outcome-wise PPT instruments (k = 1, 2, 4 and 5 outcomes), whose
+    workers take the closed form, with one they must solve (k = 3).
     """
 
     INSTRS = [
@@ -486,6 +497,127 @@ class TestRotMany:
 
     def test_no_instruments(self):
         assert rot_many([]) == []
+
+    def test_routes_of_the_mixed_list(self):
+        assert [rot_certified(i).route for i in self.INSTRS] == ["ppt", "ppt", "solve", "ppt", "ppt"]
+
+
+def _spy_solves(monkeypatch):
+    """Count the calls of ``conic.solve`` from here on."""
+    calls = []
+    real = conic_module.solve
+
+    def counted(prob, **kwargs):
+        calls.append(prob)
+        return real(prob, **kwargs)
+
+    monkeypatch.setattr(conic_module, "solve", counted)
+    return calls
+
+
+def _refuse_certificates(monkeypatch):
+    """Make the closed-form route's ``verify_certificate`` refuse everything."""
+    refused = CertificateReport(ok=False, max_violation=np.inf, checks={"refused": np.inf}, messages=["refused"])
+    monkeypatch.setattr(rot_module, "verify_certificate", lambda prob, sol, tol=1e-6: refused)
+
+
+def _certificates_verify(instr, cert):
+    for sol, build in ((cert.primal, rot_primal_problem), (cert.dual, rot_dual_problem)):
+        report = verify_certificate(build(instr)[0], sol.solution)
+        assert report.ok, report.messages
+
+
+def _separable_state(rng, terms=3):
+    """A random mixture of ``terms`` random product states on C^2 (x) C^2."""
+    weights = rng.dirichlet(np.ones(terms))
+    rho = sum(w * tensor(rand_state((2,), rng=rng).matrix, rand_state((2,), rng=rng).matrix) for w in weights)
+    return DensityMatrix(rho, (2, 2))
+
+
+class TestPptRoute:
+    """T = 0 without a solve when every J_a^{T_B} >= 0.
+
+    Such an instrument covers itself (F_a = J_a, tau = tr_V sum_a J_a)
+    and has the witness A_a = B = 1/d_V, Q_a = 0; ``rot_dual`` writes
+    both down and keeps them once ``verify_certificate`` passes.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("at", ["product", "threshold"])
+    def test_bell_isotropic_up_to_the_threshold(self, monkeypatch, d, at):
+        """p = 0 and p = 1/(d + 1) exactly: no solve, and both stored certificates verify."""
+        p = 0.0 if at == "product" else 1.0 / (d + 1)
+        instr = build_instrument(bell_povm(d), isotropic_state(p, d))
+        calls = _spy_solves(monkeypatch)
+        cert = rot_certified(instr)
+        assert calls == []
+        assert cert.route == "ppt"
+        assert cert.dual.solution.iterations == 0
+        assert cert.primal.solution.iterations == 0
+        assert abs(cert.value) <= 1e-12
+        assert abs(cert.primal.value - cert.dual.value) <= 1e-12
+        for a, j in zip(cert.primal.classical_ops, instr.mats):
+            np.testing.assert_allclose(a, j, atol=1e-15)
+        for a in cert.dual.witnesses_A + [cert.dual.B_op]:
+            np.testing.assert_allclose(a, np.eye(d * d) / d, atol=1e-15)
+        _certificates_verify(instr, cert)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_separable_state(self, seed):
+        rng = np.random.default_rng(seed)
+        instr = build_instrument(rand_povm((2, 2), 4, rng=rng), _separable_state(rng))
+        cert = rot_certified(instr)
+        assert cert.route == "ppt"
+        assert abs(cert.value) <= 1e-12
+        _certificates_verify(instr, cert)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_just_above_the_threshold_solves(self, d):
+        p = 1.0 / (d + 1) + 1e-3
+        instr = build_instrument(bell_povm(d), isotropic_state(p, d))
+        cert = rot_certified(instr)
+        assert cert.route == "solve"
+        assert cert.dual.solution.iterations > 0
+        f_ent = p + (1.0 - p) / d**2
+        assert abs(cert.value - max(0.0, d * f_ent - 1.0)) <= 1e-6
+        _certificates_verify(instr, cert)
+
+    def test_refused_closed_form_falls_back_to_a_solve(self, monkeypatch):
+        instr = build_instrument(bell_povm(2), isotropic_state(0.2, 2))
+        closed = rot_certified(instr)
+        _refuse_certificates(monkeypatch)
+        calls = _spy_solves(monkeypatch)
+        solved = rot_certified(instr)
+        assert len(calls) == 1
+        assert solved.route == "solve"
+        assert solved.dual.solution.iterations > 0
+        assert closed.route == "ppt"
+        assert abs(solved.value - closed.value) <= 1e-6
+        _certificates_verify(instr, solved)
+
+
+@pytest.mark.parametrize("rank, outcomes", [(1, 9), (1, 11), (2, 5), (2, 7)])
+class TestLowRankQutritPovms:
+    """Random d = 3 POVMs whose elements all have rank 1 or 2; 9 or 5
+    outcomes is the least number that can sum to the identity on the
+    9-dimensional V (x) A."""
+
+    def test_product_state_takes_the_closed_form(self, rank, outcomes):
+        rng = np.random.default_rng(10 * rank + outcomes)
+        rho = DensityMatrix(tensor(rand_state((3,), rng=rng).matrix, rand_state((3,), rng=rng).matrix), (3, 3))
+        instr = build_instrument(_rank_r_povm(rng, 3, outcomes, rank), rho)
+        cert = rot_certified(instr)
+        assert cert.route == "ppt"
+        assert abs(cert.value) <= 1e-12
+        _certificates_verify(instr, cert)
+
+    def test_entangled_pure_state_is_solved(self, rank, outcomes):
+        rng = np.random.default_rng(10 * rank + outcomes)
+        instr = build_instrument(_rank_r_povm(rng, 3, outcomes, rank), rand_state((3, 3), rank=1, rng=rng))
+        cert = rot_certified(instr)
+        assert cert.route == "solve"
+        assert cert.value > 1e-3
+        _certificates_verify(instr, cert)
 
 
 def _local_unitary(instr, rng):
