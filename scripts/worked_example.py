@@ -16,8 +16,10 @@ teleportation fidelity above the classical 2/3, yet it is entangled,
 T = p^2 / (4 (1 - p)) = 0.0125, and the game from the certificate still
 pays 1 + T times the classical score.  At an isotropic visibility p <= 1/3
 the Bell instrument is PPT outcome by outcome and its certificates are
-written down without a solve (route "ppt"); the fidelity-blind state is
-not, so it is solved (route "solve").
+written down without a solve (route "ppt").  The fidelity-blind state is
+not, but Bell measurement on any state is Weyl-covariant, so its program
+is solved on one outcome and lifted to all four (route "covariant"), as
+is the isotropic one above p = 1/3.
 
     python3 scripts/worked_example.py --visibility 1.0 --fictitious 10000
 """

@@ -183,7 +183,7 @@ def cmd_rot_dual(args):
     instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
     d = rot_dual(instr, tol=args.tol)
     return ResultRecord(
-        values={"robustness_lower_bound": d.value},
+        values={"robustness_lower_bound": d.value, "route": d.route, "iterations": d.solution.iterations},
         certificates={"dual": certificate_payload(d.solution)},
         warnings=_ppt_warnings(*instr.dims),
     )
@@ -392,6 +392,11 @@ def cmd_fidelity(args):
 
 
 def _load_sweep_config(path):
+    """The grid of visibilities in the sweep config ``path``.
+
+    A ``FileFormatError`` names the file, then the JSON path of the
+    offending entry, as ``load_experiment``'s do: ``sweep.json: $.d: ...``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -399,6 +404,14 @@ def _load_sweep_config(path):
         raise FileFormatError(str(path), f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(str(path), f"not valid JSON: {exc}") from exc
+    try:
+        return _sweep_grid(cfg)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc.path}", exc.message) from exc
+
+
+def _sweep_grid(cfg):
+    """The grid a parsed sweep config asks for; errors name JSON paths only."""
     if not isinstance(cfg, dict):
         raise FileFormatError("$", "expected a JSON object")
     if cfg.get("parameter") != "isotropic_p":

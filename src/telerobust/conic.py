@@ -76,7 +76,11 @@ measurement on an isotropic state: the dual robustness program (2k + 1
 blocks for k outcomes) takes about 0.008-0.015 s (68 rows) at d = 2,
 0.06-0.08 s (738 rows) at d = 3 and 1.6-1.8 s (4112 rows, 179 MiB peak
 RSS, 10 iterations) at d = 4, and that one solve gives the robustness
-with both certificates (``rot.rot_certified``).  The primal program,
+with both certificates (``rot.rot_certified``).  These figures are now
+those of an instrument that is not Weyl-covariant: ``rot.rot_dual``
+solves Bell measurement itself as the two-block program of one outcome
+(16, 81 and 256 rows at d = 2, 3 and 4), so up to d = 3 it stays on the
+numpy route and never reaches the arrow factor.  The primal program,
 kept as an independent check, takes about 0.025-0.045 s (144 rows) and
 0.9-1.1 s (1539 rows).  Building the dual program takes 0.4-0.8 ms at
 d = 2 and 2.6-4.2 ms at d = 3, the primal 0.4-0.7 ms and 2-3.7 ms.

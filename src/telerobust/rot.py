@@ -29,14 +29,34 @@ batched ``eigvalsh`` before it solves.  If all pass, it writes that
 solution down, multipliers svec(d_V J_a) and -svec(tau) included, and
 accepts it only if ``verify_certificate`` passes on the dual program at
 max(50 * tol, 1e-9), the test ``solve_checked`` applies to a solve; on
-any miss it solves.  Every caller of :func:`rot_dual` (``rot_certified``,
-``rot``, the forked workers of ``rot_many`` and the commands above them)
-takes that route, and the cover is read off the multipliers as after a
-solve.  For Bell
+any miss it tries the next route.  Every caller of :func:`rot_dual`
+(``rot_certified``, ``rot``, the forked workers of ``rot_many`` and the
+commands above them) takes the routes in this order, and the cover is
+read off the multipliers as after a solve.  For Bell
 measurement on an isotropic state at p = 0.1, ``rot_certified`` took
 1.3-1.4 ms in closed form against 12 ms with a solve at d = 2, 6-7 ms
 against 70 ms at d = 3 and 57-60 ms against 1.07 s at d = 4 (one BLAS
 thread, a 2-vCPU Xeon); checking the certificate is most of that time.
+
+Bell measurement on any shared state is Weyl-covariant:
+J_a = (W_a (x) 1) J_0 (W_a (x) 1)^dag, with W_a running over the d_V^2
+Weyl operators on V.  The program is invariant under that group with the
+outcomes relabelled, so an optimum averaged over it is optimal too
+(Gatermann & Parrilo, J. Pure Appl. Algebra 192 (2004)).  So next,
+:func:`rot_dual` matches every J_a to a distinct Weyl conjugate of J_0,
+within tol * (1 + ||J_0||_F).  If all match, it solves the two-block
+program of J_0 alone (16, 81 and 256 rows at d = 2, 3 and 4), lifts the
+solution to every outcome, and keeps it only once ``verify_certificate``
+passes on the full program at the same threshold.  On any miss (no
+match, a reduced solve that is not optimal, or a refused lift) it
+solves the full program.  ``RotDualSolution.route`` names the route
+taken: "ppt", "covariant" or "solve".  For Bell measurement on an
+isotropic state at p = 0.7, ``rot_certified`` took 6-7 ms on the
+covariant route against 9.5-10 ms with the full solve at d = 2,
+16-17 ms against 53-58 ms at d = 3 and 0.095-0.10 s against 0.98-1.03 s
+at d = 4 (the full solve timed on the same instrument turned on V by a
+random unitary, which no Weyl operator matches; one BLAS thread, a
+2-vCPU Xeon).
 
 The same machinery evaluates the generalized robustness of entanglement
 R_E of a shared state.  Under the PPT relaxation that is the largest
@@ -107,6 +127,9 @@ class RotDualSolution:
     itself.
     ``solution`` is the verified solution of ``rot_dual_problem(instr)[0]``;
     rebuild that program to re-check it with ``verify_certificate``.
+    ``route`` names how :func:`rot_dual` made it: "ppt" (the closed form
+    of an outcome-wise PPT instrument), "covariant" (lifted from the
+    one-outcome program of a Weyl-covariant instrument) or "solve".
     """
 
     value: float
@@ -115,6 +138,7 @@ class RotDualSolution:
     decompositions: list
     dims: tuple
     solution: object = field(default=None, repr=False)
+    route: str = "solve"
 
 
 @dataclass
@@ -134,9 +158,8 @@ class RotCertificates:
 
     @property
     def route(self):
-        """"ppt" for the closed-form certificates of an outcome-wise PPT
-        instrument (zero iterations; a solve takes at least one), else "solve"."""
-        return "ppt" if self.dual.solution.iterations == 0 else "solve"
+        """How the dual was made: "ppt", "covariant" or "solve" (see :class:`RotDualSolution`)."""
+        return self.dual.route
 
     @property
     def width(self):
@@ -252,9 +275,97 @@ def _ppt_dual(instr, prob, tol):
         iterations=0,
         message="closed form for an outcome-wise PPT instrument, without a solve",
     )
+    return _kept(prob, sol, tol)
+
+
+def _kept(prob, sol, tol):
+    """``sol`` if it passes ``verify_certificate`` on ``prob`` at max(50 * tol, 1e-9), else None."""
     report = verify_certificate(prob, sol, tol=max(50.0 * tol, 1e-9))
     sol.max_constraint_violation = report.max_violation
     return sol if report.ok else None
+
+
+def _weyl_conjugators(instr, tol):
+    """The U_a = W_a (x) 1 with J_a = U_a J_0 U_a^dag, one distinct Weyl W_a per outcome, or None.
+
+    None unless there are k = d_V^2 outcomes.  Outcome a takes the first
+    Weyl operator of ``weyl_family(d_V)`` not yet taken whose conjugate
+    of J_0 lies within tol * (1 + ||J_0||_F) of J_a in Frobenius norm.
+    The operators mapping J_0 to J_a form a coset of those fixing J_0,
+    so this finds a one-to-one assignment whenever there is one.
+    """
+    from .qobjects import weyl_family
+
+    d_v, d_b = instr.dims
+    js = instr.mats
+    if len(js) != d_v * d_v:
+        return None
+    us = np.stack([np.kron(w, np.eye(d_b)) for w in weyl_family(d_v)])
+    orbit = us @ js[0] @ us.conj().transpose(0, 2, 1)
+    bound = tol * (1.0 + float(np.linalg.norm(js[0])))
+    free = list(range(len(us)))
+    taken = []
+    for j in js:
+        misses = np.linalg.norm(orbit[free] - j, axis=(1, 2))
+        near = np.flatnonzero(misses <= bound)
+        if not len(near):
+            return None
+        taken.append(free.pop(near[0]))
+    return us[taken]
+
+
+def _covariant_dual(instr, prob, tol):
+    """The solution of ``rot_dual_problem(instr)`` lifted from one outcome, or None.
+
+    For a Weyl-covariant instrument (see :func:`_weyl_conjugators`) the
+    program is invariant under J_a -> U_g J_a U_g^dag with the outcomes
+    relabelled, so an optimum averaged over that group is optimal too:
+    A_a = U_a A U_a^dag, Q_a = U_a Q U_a^dag and B = 1/d_V, where A and Q
+    solve max d_V * k * tr[A J_0] - 1 over A, Q >= 0 with
+    A + Q^{T_B} = 1/d_V, two blocks of size d_V * d_B.  That program's
+    multipliers y give the cover F_0 = -smat(y) / (d_V * k) >= J_0, lifted
+    the same way to F_a = U_a F_0 U_a^dag with tau = tr_V sum_a F_a.  None
+    unless the instrument is covariant, the reduced solve ends "optimal"
+    and the lifted solution passes ``verify_certificate`` on ``prob``.
+    """
+    from .conic import solve  # looked up per call, as ``solve_checked`` does
+
+    us = _weyl_conjugators(instr, tol)
+    if us is None:
+        return None
+    d_v, d_b = instr.dims
+    n = d_v * d_b
+    js = instr.mats
+    k = len(js)
+    reduced = SdpProblem()
+    a, q = reduced.add_block(n), reduced.add_block(n)
+    reduced.set_objective({a: float(d_v * k) * js[0]}, offset=-1.0, sense="max")
+    reduced.add_operator_equality(
+        [(a, 1.0), (q, lambda m: partial_transpose(m, (d_v, d_b), 1))], np.eye(n) / d_v
+    )
+    red = solve(reduced, tol=tol)
+    if red.status != "optimal":
+        return None
+
+    def lift(m):
+        return list(us @ hermitize(m) @ us.conj().transpose(0, 2, 1))
+
+    a_ops = lift(red.primal_blocks[a])
+    f_ops = lift(-smat(red.dual_multipliers, n) / (d_v * k))
+    tau = partial_trace(sum(f_ops), (d_v, d_b), keep=(1,))
+    primal = d_v * float(sum(np.vdot(x, j).real for x, j in zip(a_ops, js))) - 1.0
+    dual = float(np.trace(tau).real) - 1.0
+    sol = SdpSolution(
+        status="optimal",
+        primal_blocks=a_ops + [np.eye(n, dtype=complex) / d_v] + lift(red.primal_blocks[q]),
+        dual_multipliers=np.concatenate([svec(d_v * f) for f in f_ops] + [-svec(tau)]),
+        primal_value=primal,
+        dual_value=dual,
+        gap=abs(primal - dual) / (1.0 + abs(primal) + abs(dual)),
+        iterations=red.iterations,
+        message="lifted from the one-outcome program of a Weyl-covariant instrument",
+    )
+    return _kept(prob, sol, tol)
 
 
 def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
@@ -269,23 +380,28 @@ def rot_dual(instr: TeleportationInstrument, tol=1e-8) -> RotDualSolution:
     When every J_a^{T_B} >= 0 (to within ``tol``), the solution is the
     closed form A_a = B = 1/d_V, Q_a = 0 with multipliers svec(d_V J_a)
     and -svec(tr_V sum_a J_a), of value sum_a tr J_a - 1 = 0, with zero
-    iterations and a ``message`` naming the route.  It is used only if
-    it passes ``verify_certificate`` at max(50 * tol, 1e-9); otherwise
-    the program is solved.
+    iterations and a ``message`` naming the route.  Otherwise, for a
+    Weyl-covariant instrument, the solution is lifted from the two-block
+    program of one outcome (see the module docstring).  Either is used
+    only if it passes ``verify_certificate`` at max(50 * tol, 1e-9);
+    otherwise the program is solved.  ``route`` on the result says which
+    of the three made it.
     """
     d_v = instr.dims[0]
     js = instr.mats
     prob, a_blocks, b_block, q_blocks = rot_dual_problem(instr)
 
-    sol = _ppt_dual(instr, prob, tol)
+    route, sol = "ppt", _ppt_dual(instr, prob, tol)
     if sol is None:
-        sol = solve_checked(prob, tol=tol, what="teleportation robustness dual")
+        route, sol = "covariant", _covariant_dual(instr, prob, tol)
+    if sol is None:
+        route, sol = "solve", solve_checked(prob, tol=tol, what="teleportation robustness dual")
     a_ops = [hermitize(sol.primal_blocks[a]) for a in a_blocks]
     b_op = hermitize(sol.primal_blocks[b_block])
     pairs = [(np.zeros_like(b_op), hermitize(sol.primal_blocks[q])) for q in q_blocks]
     value = d_v * float(sum(np.vdot(a, j).real for a, j in zip(a_ops, js))) - 1.0
 
-    return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, solution=sol)
+    return RotDualSolution(value, a_ops, b_op, pairs, instr.dims, solution=sol, route=route)
 
 
 def _primal_from_dual(instr, dual: RotDualSolution):

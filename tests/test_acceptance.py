@@ -237,7 +237,7 @@ def test_fidelity_blind_entanglement_wins_the_game():
             assert average_fidelity(instr, pauli_six(), UnitaryFamily(kind)) <= 2.0 / 3.0 + 1e-9
 
         cert = rot_certified(instr)
-        assert cert.route == "solve"  # NPT: no closed form
+        assert cert.route == "covariant"  # NPT, so no closed form; Bell measurement, so one outcome is solved
         assert abs(cert.value - p * p / (4.0 * (1.0 - p))) <= 1e-6
         assert cert.value > 0.01
         assert verify_certificate(rot_dual_problem(instr)[0], cert.dual.solution, tol=1e-6).ok

@@ -29,6 +29,7 @@ from telerobust.qobjects import (
     isotropic_state,
     TeleportationInstrument,
     pauli_six,
+    rand_unitary,
 )
 from telerobust.rot import rot_dual, rot_dual_problem, rot_primal_problem
 from telerobust.serialize import (
@@ -84,6 +85,14 @@ def more_files(files, tmp_path_factory):
     save_experiment(paths["game"], {"game": build_game_from_dual(rot_dual(ideal))})
     save_experiment(paths["merge"], {"recipe": ClassicalSimulation.merge_all(4)})
     return paths
+
+
+def _v_turned(instr):
+    """J_a -> (U_V (x) 1) J_a (U_V (x) 1)^dag for a fixed random U_V: the same
+    T, but no longer Weyl-covariant, so the full program is solved."""
+    d_v, d_b = instr.dims
+    u = np.kron(rand_unitary(d_v, np.random.default_rng(d_v)), np.eye(d_b))
+    return TeleportationInstrument([u @ j @ u.conj().T for j in instr.mats], instr.dims)
 
 
 def run_record(args, tmp_path, name="record.json"):
@@ -477,14 +486,19 @@ class TestRotCompute:
             report = verify_certificate(prob, solution_from_payload(rec.certificates[key]), tol=1e-6)
             assert report.ok, f"{key}: {report.messages}"
 
-    @pytest.mark.parametrize("p, route", [(1.0 / 3.0, "ppt"), (0.2, "ppt"), (0.7, "solve")])
-    def test_record_names_the_route(self, tmp_path, p, route):
-        """``route`` and ``iterations`` say whether T came from the closed form
-        of an outcome-wise PPT instrument (0 iterations) or from a solve; a
-        rerun writes the same bytes apart from the wall time."""
+    @pytest.mark.parametrize("command", ["compute", "dual"])
+    @pytest.mark.parametrize("p, route", [(1.0 / 3.0, "ppt"), (0.2, "ppt"), (0.7, "covariant"), (0.7, "solve")])
+    def test_record_names_the_route(self, tmp_path, command, p, route):
+        """``rot compute`` and ``rot dual`` record in ``route`` and
+        ``iterations`` whether the dual came from the closed form of an
+        outcome-wise PPT instrument (0 iterations), from the one-outcome
+        program of Bell measurement, or from a solve of the full program
+        (Bell measurement turned on V); a rerun writes the same bytes
+        apart from the wall time."""
+        instr = build_instrument(bell_povm(2), isotropic_state(p, 2))
         path = tmp_path / "iso.json"
-        save_experiment(path, {"instrument": build_instrument(bell_povm(2), isotropic_state(p, 2))})
-        argv = ["rot", "compute", "--instrument", str(path)]
+        save_experiment(path, {"instrument": _v_turned(instr) if route == "solve" else instr})
+        argv = ["rot", command, "--instrument", str(path)]
         code, rec = run_record(argv, tmp_path)
         assert code == 0
         assert rec.values["route"] == route
@@ -1069,6 +1083,26 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg)]) == 3
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ({"parameter": "dial_to_eleven"}, "$.parameter: unknown sweep parameter"),
+            ({"d": 3}, "$.d: expected the integer 2"),
+            ([0.0, 1.0, 0.05], "$: expected a JSON object"),
+            ({"stop": 1.5}, "$: grid must satisfy"),
+            ({"step": None}, "$: malformed grid"),
+        ],
+        ids=["parameter", "dimension", "not-an-object", "grid-range", "grid-step"],
+    )
+    def test_errors_name_the_file_then_the_json_path(self, tmp_path, capsys, config, where):
+        cfg = tmp_path / "sweep.json"
+        if isinstance(config, dict):
+            cfg = self._config(tmp_path, **config)
+        else:
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {where}")
+
     @pytest.mark.parametrize("d", [[2], "2", 2.5, True, 3], ids=["list", "string", "fraction", "bool", "three"])
     def test_rejects_malformed_dimension(self, tmp_path, capsys, d):
         cfg = self._config(tmp_path, d=d)
@@ -1096,10 +1130,11 @@ class TestDeterminism:
         shell does, so they check the setup the CLI ships: ``cli.py``
         defaults them to one thread before numpy loads (see
         ``test_cli_defaults_to_one_blas_thread``).  Each solves the
-        738-row dual on scipy's kernels.
+        738-row dual on scipy's kernels: the instrument is Bell measurement
+        turned on V, which the covariant route does not take.
         """
         path = tmp_path / "iso3.json"
-        save_experiment(path, {"instrument": build_instrument(bell_povm(3), isotropic_state(0.7, 3))})
+        save_experiment(path, {"instrument": _v_turned(build_instrument(bell_povm(3), isotropic_state(0.7, 3)))})
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1111,6 +1146,7 @@ class TestDeterminism:
             records.append(record_loads((tmp_path / name).read_text(encoding="utf-8")))
         first, second = records
         assert abs(first.values["robustness"] - 1.2) <= 1e-6
+        assert first.values["route"] == "solve"
         assert first.values == second.values
         assert first.inputs == second.inputs
         assert first.certificates == second.certificates
@@ -1134,10 +1170,13 @@ def test_cli_defaults_to_one_blas_thread(preset, expected):
 
 # Run in a fresh interpreter: scipy must stay unloaded through a d = 2
 # ``rot compute``, a ``sim check`` (pinned to one CPU so that its
-# robustness programs are solved in this process) and the discrimination
-# commands, whose classical benchmark has 97 rows, and load for d = 3.
+# robustness programs are solved in this process), the discrimination
+# commands, whose classical benchmark has 97 rows, and a d = 3 ``rot
+# compute`` of Bell measurement, whose covariant route solves 81 rows.  It
+# must load for the full d = 3 dual of the same instrument turned on V.
 _SCIPY_ON_DEMAND = r"""
 import os, sys
+import numpy as np
 import telerobust.cli as cli
 from telerobust import qobjects, serialize
 
@@ -1145,12 +1184,15 @@ if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 root = sys.argv[1]
 
-def rot_compute(d, p):
-    path, out = f"{root}/iso{d}.json", f"{root}/rot{d}.json"
+def rot_compute(d, p, turned=False):
+    path, out = f"{root}/iso{d}{turned}.json", f"{root}/rot{d}{turned}.json"
     instr = qobjects.build_instrument(qobjects.bell_povm(d), qobjects.isotropic_state(p, d))
+    if turned:
+        u = np.kron(qobjects.rand_unitary(d, np.random.default_rng(d)), np.eye(d))
+        instr = qobjects.TeleportationInstrument([u @ j @ u.conj().T for j in instr.mats], instr.dims)
     serialize.save_experiment(path, {"instrument": instr})
     assert cli.main(["rot", "compute", "--instrument", path, "--out", out]) == 0
-    return path, serialize.record_loads(open(out, encoding="utf-8").read()).values["robustness"]
+    return path, serialize.record_loads(open(out, encoding="utf-8").read()).values
 
 path, _ = rot_compute(2, 0.7)
 argv = ["sim", "check", "--instrument", path, "--classical", "4", "--quantum", "2", "--mixtures", "2"]
@@ -1159,15 +1201,18 @@ task = f"{root}/task.json"
 assert cli.main(["discrim", "build-from-dual", "--instrument", path, "--save", task, "--out", f"{root}/b.json"]) == 0
 assert cli.main(["discrim", "classical", "--e", task, "--out", f"{root}/c.json"]) == 0
 assert cli.main(["discrim", "ratio", "--e", task, "--instrument", path, "--out", f"{root}/r.json"]) == 0
-assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command"
-_, t = rot_compute(3, 0.7)
-assert "scipy" in sys.modules, "scipy not loaded by the d = 3 dual"
-assert abs(t - 1.2) <= 1e-6, t
+_, values = rot_compute(3, 0.7)
+assert values["route"] == "covariant" and abs(values["robustness"] - 1.2) <= 1e-6, values
+assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command or the d = 3 covariant route"
+_, values = rot_compute(3, 0.7, turned=True)
+assert values["route"] == "solve" and abs(values["robustness"] - 1.2) <= 1e-6, values
+assert "scipy" in sys.modules, "scipy not loaded by the full d = 3 dual"
 """
 
 
 def test_scipy_loads_only_for_programs_above_the_numpy_bound(tmp_path):
-    """d = 2 commands run on numpy alone; the d = 3 dual loads scipy and gets T = 1.2."""
+    """d = 2 commands and the d = 3 covariant route run on numpy alone; the
+    full d = 3 dual loads scipy; both d = 3 instruments get T = 1.2."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

@@ -80,6 +80,18 @@ def _isotropic(p, d=2):
     )
 
 
+def _v_turned(instr):
+    """J_a -> (U_V (x) 1) J_a (U_V (x) 1)^dag for a fixed random U_V.
+
+    T is unchanged, but U_V takes the Weyl operators off the Weyl group,
+    so Bell measurement turned this way is solved in full ("solve"), not
+    on one outcome ("covariant").
+    """
+    d_v, d_b = instr.dims
+    u = tensor(rand_unitary(d_v, np.random.default_rng(d_v)), np.eye(d_b))
+    return TeleportationInstrument([u @ j @ dagger(u) for j in instr.mats], instr.dims)
+
+
 class TestHandCertificates:
     """The d=2 ideal instrument has pencil-and-paper optimal solutions for
     both programs; they pin the programs themselves, not just the solver."""
@@ -277,8 +289,10 @@ class TestSolveIsVerified:
     The solver's output is tampered through a monkeypatched
     ``conic.solve``, so ``conic.solve_checked`` runs its check on the
     tampered solution.  Each tampering breaks one condition of the
-    witness program or of the cover read off its multipliers.  The dual
-    program of a d = 2 isotropic instrument has blocks A_a (0-3), B (4)
+    witness program or of the cover read off its multipliers.  ``INSTR``
+    is Bell measurement on an isotropic state turned on V, so that the
+    full program is solved rather than the one-outcome program of the
+    covariant route.  The dual program of a d = 2 instrument has blocks A_a (0-3), B (4)
     and Q_a (5-8); rows 16a .. 16a + 15 hold B - A_a - Q_a^{T_B} = 0
     (multipliers svec(d_V F_a)) and rows 64-67 tr_V B = 1 (multipliers
     -svec(tau)).  A shift s * 1 of Q_a shifts Q_a^{T_B} by the same
@@ -286,7 +300,7 @@ class TestSolveIsVerified:
     """
 
     SHIFT = 1e-4
-    INSTR = build_instrument(bell_povm(2), _isotropic(0.7))
+    INSTR = _v_turned(build_instrument(bell_povm(2), _isotropic(0.7)))
 
     @staticmethod
     def _install(monkeypatch, edit):
@@ -311,7 +325,9 @@ class TestSolveIsVerified:
 
     def test_untampered_solve_passes(self, monkeypatch):
         self._install(monkeypatch, lambda sol: None)
-        assert abs(rot_certified(self.INSTR).value - 0.55) <= 1e-6
+        cert = rot_certified(self.INSTR)
+        assert cert.route == "solve"
+        assert abs(cert.value - 0.55) <= 1e-6
 
     def test_witness_not_psd(self, monkeypatch):
         def edit(sol):
@@ -516,7 +532,9 @@ def _spy_solves(monkeypatch):
 
 
 def _refuse_certificates(monkeypatch):
-    """Make the closed-form route's ``verify_certificate`` refuse everything."""
+    """Make ``rot``'s ``verify_certificate`` refuse everything: the closed form
+    and the lifted covariant solution, not a solve (``solve_checked`` checks
+    it with ``conic``'s own)."""
     refused = CertificateReport(ok=False, max_violation=np.inf, checks={"refused": np.inf}, messages=["refused"])
     monkeypatch.setattr(rot_module, "verify_certificate", lambda prob, sol, tol=1e-6: refused)
 
@@ -573,27 +591,106 @@ class TestPptRoute:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_just_above_the_threshold_solves(self, d):
+        """One outcome's program is solved: Bell measurement is Weyl-covariant."""
         p = 1.0 / (d + 1) + 1e-3
         instr = build_instrument(bell_povm(d), isotropic_state(p, d))
         cert = rot_certified(instr)
-        assert cert.route == "solve"
+        assert cert.route == "covariant"
         assert cert.dual.solution.iterations > 0
         f_ent = p + (1.0 - p) / d**2
         assert abs(cert.value - max(0.0, d * f_ent - 1.0)) <= 1e-6
         _certificates_verify(instr, cert)
 
     def test_refused_closed_form_falls_back_to_a_solve(self, monkeypatch):
+        """The refused closed form is followed by the covariant route's
+        two-block solve, whose lifted solution is refused too, then by
+        the solve of the full nine-block program."""
         instr = build_instrument(bell_povm(2), isotropic_state(0.2, 2))
         closed = rot_certified(instr)
         _refuse_certificates(monkeypatch)
         calls = _spy_solves(monkeypatch)
         solved = rot_certified(instr)
-        assert len(calls) == 1
+        assert [len(prob.blocks) for prob in calls] == [2, 9]
         assert solved.route == "solve"
         assert solved.dual.solution.iterations > 0
         assert closed.route == "ppt"
         assert abs(solved.value - closed.value) <= 1e-6
         _certificates_verify(instr, solved)
+
+
+class TestCovariantRoute:
+    """Bell measurement on any state is solved on one outcome.
+
+    Its outcomes are J_a = (W_a (x) 1) J_0 (W_a (x) 1)^dag with W_a running
+    over the d_V^2 Weyl operators, so ``rot_dual`` solves the two-block
+    program of J_0, lifts the solution to every outcome and keeps it once
+    ``verify_certificate`` passes on the full program.  Turned on V by a
+    non-Weyl unitary (``_v_turned``), the same instrument has the same T
+    but is solved in full: the oracle for the lifted certificates.
+    """
+
+    BELL = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+
+    @pytest.mark.parametrize(
+        "d, seed", [(2, 0), (2, 1), (3, 0), (3, 1), (4, None)], ids=["2-0", "2-1", "3-0", "3-1", "4-isotropic"]
+    )
+    def test_same_t_as_the_general_solve(self, d, seed):
+        rho = isotropic_state(0.7, d) if seed is None else rand_state((d, d), rank=2, rng=np.random.default_rng(seed))
+        instr = build_instrument(bell_povm(d), rho)
+        turned = _v_turned(instr)
+        covariant, solved = rot_certified(instr), rot_certified(turned)
+        assert (covariant.route, solved.route) == ("covariant", "solve")
+        assert covariant.dual.solution.iterations > 0
+        assert covariant.value > 0.01
+        assert abs(covariant.value - solved.value) <= 1e-7
+        if seed is None:
+            assert abs(covariant.value - 1.875) <= 1e-7  # d F - 1 with F = p + (1 - p) / d^2
+        _certificates_verify(instr, covariant)
+        _certificates_verify(turned, solved)
+
+    def test_outcomes_in_any_order(self):
+        instr = build_instrument(bell_povm(2), rand_state((2, 2), rank=1, rng=np.random.default_rng(3)))
+        permuted = TeleportationInstrument([instr.mats[a] for a in (3, 0, 2, 1)], instr.dims)
+        cert = rot_certified(permuted)
+        assert cert.route == "covariant"
+        assert abs(cert.value - rot(instr)) <= 1e-7
+        _certificates_verify(permuted, cert)
+
+    @pytest.mark.parametrize("shift, route", [(1e-12, "covariant"), (1e-6, "solve")])
+    def test_perturbed_outcome(self, shift, route):
+        """Weight moved between two outcomes, which keeps no-signalling:
+        within the match tolerance tol * (1 + ||J_0||_F) the route stays
+        covariant, beyond it the program is solved in full."""
+        js = list(self.BELL.mats)
+        h = shift * np.diag([1.0, -1.0, 0.0, 0.0])
+        js[1], js[2] = js[1] + h, js[2] - h
+        instr = TeleportationInstrument(js, self.BELL.dims)
+        cert = rot_certified(instr)
+        assert cert.route == route
+        assert abs(cert.value - 0.55) <= 1e-5
+        _certificates_verify(instr, cert)
+
+    def test_refused_lifted_certificate_is_solved(self, monkeypatch):
+        """One general solve of the full program follows the reduced one."""
+        _refuse_certificates(monkeypatch)
+        calls = _spy_solves(monkeypatch)
+        cert = rot_certified(self.BELL)
+        assert [len(prob.blocks) for prob in calls] == [2, 9]
+        assert cert.route == "solve"
+        assert abs(cert.value - 0.55) <= 1e-6
+
+    def test_non_optimal_reduced_solve_is_solved(self, monkeypatch):
+        real = conic_module.solve
+
+        def stalled_reduced(prob, **kwargs):
+            if len(prob.blocks) == 2:
+                return SdpSolution(status="max_iter", message="stalled")
+            return real(prob, **kwargs)
+
+        monkeypatch.setattr(conic_module, "solve", stalled_reduced)
+        cert = rot_certified(self.BELL)
+        assert cert.route == "solve"
+        assert abs(cert.value - 0.55) <= 1e-6
 
 
 @pytest.mark.parametrize("rank, outcomes", [(1, 9), (1, 11), (2, 5), (2, 7)])
@@ -712,9 +809,12 @@ def test_qutrit_basis_measurement_keeps_t_under_permutation_and_a_zero_outcome()
 def test_ideal_instrument_with_a_zero_outcome_keeps_the_closed_form(d, p, expected):
     """Bell measurement on an isotropic state plus a zero outcome keeps
     T = d F - 1 with F = p + (1 - p) / d^2: d - 1 on the maximally entangled
-    state (p = 1), and 1.2 at d = 3, p = 0.7."""
+    state (p = 1), and 1.2 at d = 3, p = 0.7.  With d^2 + 1 outcomes it is
+    not Weyl-covariant, so the full program is solved."""
     instr = _with_zero_outcome(build_instrument(bell_povm(d), isotropic_state(p, d)))
-    assert abs(rot(instr) - expected) <= 1e-6
+    cert = rot_certified(instr)
+    assert cert.route == "solve"
+    assert abs(cert.value - expected) <= 1e-6
 
 
 class TestEntanglementRobustness:
