@@ -12,7 +12,9 @@ certificate into the two operational tasks it promises:
 Then it repeats the robustness and the game for the fidelity-blind state
 p |psi-><psi-| + (1 - p) |00><00| at p = 0.2 (Badziag, Horodecki,
 Horodecki & Horodecki, PRA 62, 012311 (2000)): no correction lifts its
-teleportation fidelity above the classical 2/3, yet it is entangled,
+teleportation fidelity above the classical 2/3, which is computed as the
+bound on every classical player under any per-outcome correction in the
+fidelity game of the six Pauli eigenstates, yet the state is entangled,
 T = p^2 / (4 (1 - p)) = 0.0125, and the game from the certificate still
 pays 1 + T times the classical score.  At an isotropic visibility p <= 1/3
 the Bell instrument is PPT outcome by outcome and its certificates are
@@ -30,7 +32,14 @@ import sys
 import numpy as np
 
 from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
-from telerobust.games import UnitaryFamily, average_fidelity, build_game_from_dual, classical_game_score, game_score
+from telerobust.games import (
+    UnitaryFamily,
+    average_fidelity,
+    build_game_from_dual,
+    classical_game_score,
+    fidelity_game_of,
+    game_score,
+)
 from telerobust.qobjects import DensityMatrix, bell_povm, build_instrument, isotropic_state, pauli_six
 from telerobust.rot import rot_certified
 
@@ -52,10 +61,12 @@ def game_ratio(cert, instr):
 
 def fidelity_blind(p):
     instr = build_instrument(bell_povm(2), fidelity_blind_state(p))
-    fidelity = average_fidelity(instr, pauli_six(), UnitaryFamily("seesaw_polished"))
+    family = UnitaryFamily("seesaw_polished")
+    fidelity = average_fidelity(instr, pauli_six(), family)
+    limit = classical_game_score(fidelity_game_of(pauli_six(), instr.outcomes), family)
     cert = rot_certified(instr)
     print(f"\nfidelity-blind state p |psi-><psi-| + (1 - p) |00><00|, p = {p}")
-    print(f"  best fidelity found        {fidelity:.8f}  (classical limit 2/3 = {2 / 3:.8f})")
+    print(f"  best fidelity found        {fidelity:.8f}  (classical limit {limit:.8f}, 2/(d + 1) = 2/3)")
     print(f"  robustness T               {cert.value:.8f}  (p^2 / (4 (1 - p)) = {p**2 / (4 * (1 - p)):.8f}, "
           f"route {cert.route})")
     print(f"  game advantage ratio       {game_ratio(cert, instr):.8f}  (1 + T = {1 + cert.value:.8f})")

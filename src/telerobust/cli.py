@@ -265,11 +265,11 @@ def cmd_game_score(args):
 
 def cmd_game_classical(args):
     game = _pick(args, "game", CorrelationGame, "game")
-    score = classical_game_score(game, UnitaryFamily(args.family), tol=args.tol)
-    d_out = game.targets[0].shape[0] // game.spectator_dim
+    family = UnitaryFamily(args.family)
+    score = classical_game_score(game, family, tol=args.tol)
     return ResultRecord(
-        values={"classical_score": score},
-        warnings=_ppt_warnings(game.probe_dim, d_out),
+        values={"classical_score": score, "classical_set": family.classical_set},
+        warnings=_ppt_warnings(game.probe_dim, game.target_dim),
     )
 
 

@@ -8,9 +8,10 @@ with a target operator xi_b on V' (x) B.
 
 Two benchmarks matter: the score an actual instrument achieves (a
 certified lower bound, since the search is restricted to outcome
-relabelings and a finite correction family), and the best score any
-classical instrument can reach, which is a semidefinite program over
-PPT no-signalling Choi families once the corrections are fixed.
+relabelings and a correction family), and the best score any classical
+instrument can reach: without corrections a semidefinite program over
+PPT no-signalling Choi families, and with them one convex bound over
+every classical player under every per-outcome correction.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .qobjects import (
     choi_apply_second,
     weyl_family,
 )
-from .rot import RotDualSolution, classical_max
+from .rot import RotDualSolution, classical_max, corrected_classical_bound
 
 __all__ = [
     "FAMILY_KINDS",
@@ -62,9 +63,9 @@ class UnitaryFamily:
     ``identity_only`` applies no correction, ``pauli_group`` picks the
     best discrete shift-and-phase (Weyl) operator, and
     ``seesaw_polished`` refines the best group member with up to 20
-    monotone polar-update steps.  Every family is finite,
-    so scores computed over it are certified lower bounds on the
-    unrestricted optimum over all unitaries.
+    monotone polar-update steps, a local search rather than a finite set.
+    Scores computed over any family are certified lower bounds on the
+    optimum over all unitaries.
     """
 
     kind: str = "identity_only"
@@ -72,6 +73,11 @@ class UnitaryFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown unitary family kind {self.kind!r}")
+
+    @property
+    def classical_set(self):
+        """The classical players whose best score :func:`classical_game_score` bounds."""
+        return "identity corrections" if self.kind == "identity_only" else "any per-outcome correction"
 
     def members(self, d):
         """Starting unitaries for output dimension ``d``."""
@@ -278,59 +284,31 @@ def _pullback_target(sigma_mat, xi_mat, d_spec, d_v, d_b):
     return hermitize(c.reshape(d_v * d_b, d_v * d_b))
 
 
-def _classical_sdp(game, units, tol):
-    """Best PPT no-signalling player against fixed corrections."""
-    d_spec, d_v, d_b = game.spectator_dim, game.probe_dim, game.target_dim
-    sigma = game.input_state.matrix
-    payoffs = [None] * game.outcomes
-    for b in np.flatnonzero(game.scores > 0.0):
-        xi_rot = _pulled(game.targets[b], units[b], d_spec)
-        payoffs[b] = game.scores[b] * _pullback_target(sigma, xi_rot, d_spec, d_v, d_b)
-    return classical_max(payoffs, (d_v, d_b), tol, what="classical game benchmark")
+def classical_game_strategy(game, corrections=None, tol=1e-9):
+    """Classical benchmark with the strategy that attains it: (value, [F_b]).
 
-
-def classical_game_strategy(game, corrections=None, tol=1e-9, rounds=6):
-    """Classical benchmark with the strategy that attains it.
-
-    Returns (value, classical Choi operators, corrections).  For fixed
-    corrections the benchmark is an exact semidefinite program over PPT
-    no-signalling Choi families; the corrections themselves are then
-    improved by alternating with the program (see-saw), started from the
-    identity assignment and from the canonical group pattern.  With
-    ``identity_only`` corrections no alternation happens and the value
-    is exact for the PPT-relaxed classical set.
+    With ``identity_only`` corrections, the exact program over PPT
+    no-signalling Choi families (:func:`classical_max`).  With any other
+    family, one convex bound (:func:`corrected_classical_bound`) on every
+    classical player under every per-outcome correction, whose F_b absorb
+    the corrections; on the fidelity game of a 2-design it is 2/(d + 1)
+    (Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999)).
     """
     corrections = corrections if corrections is not None else UnitaryFamily()
     d_spec, d_v, d_b = game.spectator_dim, game.probe_dim, game.target_dim
     if float(np.sum(game.scores)) == 0.0:
-        return 0.0, [np.zeros((d_v * d_b, d_v * d_b))] * game.outcomes, [np.eye(d_b)] * game.outcomes
-    n_b = game.outcomes
-    best = (-np.inf, None, None)
-    for start in corrections.starts(d_b, n_b):
-        us = list(start)
-        prev = -np.inf
-        for _ in range(rounds):
-            val, f_ops = _classical_sdp(game, us, tol)
-            if val > best[0]:
-                best = (val, f_ops, list(us))
-            if corrections.kind == "identity_only" or val <= prev + 1e-10:
-                break
-            prev = val
-            sigma = game.input_state.matrix
-            for b in range(n_b):
-                if game.scores[b] <= 0.0 or np.trace(f_ops[b]).real < 1e-12:
-                    continue
-                y = choi_apply_second(f_ops[b], d_v, d_b, sigma, d_spec)
-                _, us[b] = _best_unitary(
-                    game.scores[b] * y, game.targets[b], corrections, d_spec, d_b
-                )
-    return best
+        return 0.0, [np.zeros((d_v * d_b, d_v * d_b))] * game.outcomes
+    sigma = game.input_state.matrix
+    payoffs = [None] * game.outcomes
+    for b in np.flatnonzero(game.scores > 0.0):
+        payoffs[b] = game.scores[b] * _pullback_target(sigma, game.targets[b], d_spec, d_v, d_b)
+    program = classical_max if corrections.kind == "identity_only" else corrected_classical_bound
+    return program(payoffs, (d_v, d_b), tol, what="classical game benchmark")
 
 
 def classical_game_score(game, corrections=None, tol=1e-9):
-    """Best score any classical (PPT no-signalling) player reaches."""
-    value, _, _ = classical_game_strategy(game, corrections, tol=tol)
-    return value
+    """Best score of the classical players ``corrections.classical_set`` names; see :func:`classical_game_strategy`."""
+    return classical_game_strategy(game, corrections, tol=tol)[0]
 
 
 def build_game_from_dual(dual: RotDualSolution, tol=1e-9) -> CorrelationGame:

@@ -90,6 +90,7 @@ __all__ = [
     "rot",
     "rot_many",
     "classical_max",
+    "corrected_classical_bound",
     "robustness_of_entanglement",
 ]
 
@@ -507,6 +508,14 @@ def rot_many(instrs, tol=1e-8) -> list[float]:
         return pool.map(functools.partial(rot, tol=tol), instrs, chunksize=1)
 
 
+def _payoff_program(payoffs, dims):
+    """PPT blocks F_x on V (x) B, one per payoff C_x, under max sum_x <C_x, F_x>; a None C_x adds no term."""
+    prob = SdpProblem()
+    blocks = [prob.add_block(dims[0] * dims[1], cone="ppt", ppt_dims=dims) for _ in payoffs]
+    prob.set_objective({b: c for b, c in zip(blocks, payoffs) if c is not None}, sense="max")
+    return prob, blocks
+
+
 def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
     """(value, [F_x]) of max sum_x <C_x, F_x> over the PPT-relaxed classical family.
 
@@ -515,16 +524,28 @@ def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
     """
     d_v, d_b = dims
     n = d_v * d_b
-    prob = SdpProblem()
-    blocks = [prob.add_block(n, cone="ppt", ppt_dims=(d_v, d_b)) for _ in payoffs]
+    prob, blocks = _payoff_program(payoffs, dims)
     tau = prob.add_block(d_b)
-    prob.set_objective({b: c for b, c in zip(blocks, payoffs) if c is not None}, sense="max")
     terms = [(b, 1.0) for b in blocks]
     terms.append((tau, lambda t: (-1.0 / d_v) * tensor(np.eye(d_v), t)))
     prob.add_operator_equality(terms, np.zeros((n, n)))
     prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
     sol = solve_checked(prob, tol=tol, what=what)
     return float(sol.primal_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
+
+
+def corrected_classical_bound(payoffs, dims, tol=1e-9, what="classical benchmark"):
+    """(bound, [F_x]) of max sum_x <C_x, F_x> over PPT F_x with sum_x tr_B F_x = 1_V / d_V.
+
+    A channel on B keeps F_x PPT and keeps tr_B F_x, so the set holds the
+    family of :func:`classical_max` after any channel on B per x, with
+    d_V^2 coupling rows.  ``bound`` is the verified dual objective.
+    """
+    prob, blocks = _payoff_program(payoffs, dims)
+    terms = [(b, lambda m: partial_trace(m, dims, keep=(0,))) for b in blocks]
+    prob.add_operator_equality(terms, np.eye(dims[0]) / dims[0])
+    sol = solve_checked(prob, tol=tol, what=what)
+    return float(sol.dual_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
 
 
 def robustness_of_entanglement(rho: DensityMatrix, tol=1e-8) -> float:

@@ -141,7 +141,7 @@ def test_classical_fidelity_threshold():
     2/(d+1) = 2/3; the ideal instrument reaches 1."""
     game = fidelity_game_of(pauli_six(), 4)
     classical = classical_game_score(game, UnitaryFamily("pauli_group"))
-    assert abs(classical - 2.0 / 3.0) <= 1e-3
+    assert abs(classical - 2.0 / 3.0) <= 1e-6
     ideal = game_score(game, ideal_instrument(2), UnitaryFamily("pauli_group"))
     assert abs(ideal - 1.0) <= 1e-9
 

@@ -17,7 +17,7 @@ import pytest
 from telerobust import cli, conic, discrim
 from telerobust.conic import SolverError, verify_certificate
 from telerobust.discrim import build_discrimination_from_dual, pauli_twirl_instrument
-from telerobust.games import build_game_from_dual
+from telerobust.games import build_game_from_dual, fidelity_game_of
 from telerobust.linalg import hermitize
 from telerobust.qobjects import (
     DensityMatrix,
@@ -703,7 +703,18 @@ class TestGameFlow:
         code, rec = run_record(["game", "classical", "--game", str(game_file)], tmp_path)
         assert code == 0
         assert rec.values["classical_score"] <= 0.5 + 1e-5
+        assert rec.values["classical_set"] == "identity corrections"
         assert rec.warnings == []
+
+    def test_classical_bound_under_corrections_names_its_set(self, tmp_path):
+        game_file = tmp_path / "fidelity.json"
+        save_experiment(game_file, {"game": fidelity_game_of(pauli_six(), 4)})
+        code, rec = run_record(
+            ["game", "classical", "--game", str(game_file), "--family", "pauli_group"], tmp_path
+        )
+        assert code == 0
+        assert abs(rec.values["classical_score"] - 2.0 / 3.0) <= 1e-6
+        assert rec.values["classical_set"] == "any per-outcome correction"
 
 
 class TestDiscrimFlow:

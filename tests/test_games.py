@@ -15,6 +15,7 @@ from telerobust.games import (
     fidelity_game_of,
     game_score,
     _overlap,
+    _pulled,
     _pullback_target,
     _relabel_table,
 )
@@ -30,9 +31,10 @@ from telerobust.qobjects import (
     pauli_six,
     rand_povm,
     rand_state,
+    rand_unitary,
     weyl_family,
 )
-from telerobust.rot import rot, rot_dual
+from telerobust.rot import classical_max, rot, rot_dual
 
 
 def _bell_projectors(d=2):
@@ -50,6 +52,16 @@ def _random_instrument(rng, outcomes=4):
 
 def _entangled_instrument(rng):
     return build_instrument(bell_povm(2), rand_state((2, 2), rank=1, rng=rng))
+
+
+def _qutrit_mubs():
+    """The 12 states of the four mutually unbiased qutrit bases, equally
+    weighted: the computational basis and, for k = 0, 1, 2, the vectors
+    sum_j w^(k j^2 + m j) |j> / sqrt(3) with w = exp(2 pi i / 3)."""
+    w = np.exp(2j * np.pi / 3)
+    kets = list(np.eye(3))
+    kets += [w ** (k * np.arange(3) ** 2 + m * np.arange(3)) / np.sqrt(3) for k in range(3) for m in range(3)]
+    return InputEnsemble([DensityMatrix(np.outer(v, v.conj()), (3,)) for v in kets], np.full(12, 1.0 / 12.0))
 
 
 class TestUnitaryFamily:
@@ -217,9 +229,11 @@ class TestClassicalGameScore:
         assert abs(solved - 0.5) < 1e-6
 
     def test_fidelity_game_classical_threshold(self):
-        g = fidelity_game_of(pauli_six(), 4)
-        value = classical_game_score(g, UnitaryFamily("pauli_group"))
-        assert abs(value - 2.0 / 3.0) < 1e-3
+        # the classical fidelity on a 2-design is 2/(d + 1), under any correction
+        for probes, outcomes, limit in ((pauli_six(), 4, 2.0 / 3.0), (_qutrit_mubs(), 9, 0.5)):
+            g = fidelity_game_of(probes, outcomes)
+            value = classical_game_score(g, UnitaryFamily("pauli_group"))
+            assert abs(value - limit) < 1e-6
 
     def test_classical_player_reproduces_pure_product_target(self):
         v = np.zeros(2)
@@ -231,13 +245,13 @@ class TestClassicalGameScore:
 
     def test_strategy_operators_are_no_signalling(self):
         g = build_game_from_dual(rot_dual(ideal_instrument(2)))
-        value, ops, units = classical_game_strategy(g, UnitaryFamily("identity_only"))
+        value, ops = classical_game_strategy(g, UnitaryFamily("identity_only"))
         total = sum(ops)
         marginal = partial_trace(total, (2, 2), keep=(1,))
         # sum_b F_b = (1/d_V) 1 (x) tau forces tr_V of the sum to be a state
         assert abs(np.trace(total).real - 1.0) < 1e-7
         assert np.linalg.norm(total - tensor(np.eye(2) / 2.0, marginal)) < 1e-6
-        assert len(units) == g.outcomes
+        assert len(ops) == g.outcomes
 
     def test_advantage_never_exceeds_one_plus_robustness(self):
         rng = np.random.default_rng(23)
@@ -248,6 +262,37 @@ class TestClassicalGameScore:
             t_val = rot(instr)
             score = game_score(g, instr, UnitaryFamily("identity_only"))
             assert score / classical <= 1.0 + t_val + 1e-4
+
+
+class TestCorrectedClassicalBound:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_corrected_classical_player_exceeds_the_bound(self, d, seed):
+        """Classical instruments turned by a random unitary on B per outcome,
+        and the exact program under random Weyl corrections, never score
+        above the bound of ``pauli_group`` and ``seesaw_polished``."""
+        rng = np.random.default_rng(10 * d + seed)
+        sigma = rand_state((2, d), rng=rng).matrix
+        targets = [rand_state((2, d), rng=rng).matrix for _ in range(3)]
+        g = CorrelationGame(DensityMatrix(sigma, (2, d)), targets, rng.uniform(0.2, 1.0, 3))
+        identity = UnitaryFamily("identity_only")
+        bound = classical_game_score(g, UnitaryFamily("pauli_group"))
+        assert classical_game_score(g, UnitaryFamily("seesaw_polished")) == bound
+        assert classical_game_score(g, identity) <= bound + 1e-7
+        for _ in range(3):
+            product = tensor(rand_state((d,), rng=rng).matrix, rand_state((d,), rng=rng).matrix)
+            instr = build_instrument(rand_povm((d, d), 3, rng=rng), DensityMatrix(product, (d, d)))
+            turns = [tensor(np.eye(d), rand_unitary(d, rng)) for _ in instr.mats]
+            turned = [u @ j @ dagger(u) for u, j in zip(turns, instr.mats)]
+            # per-outcome corrections break no-signalling, so skip that check
+            corrected = TeleportationInstrument(turned, (d, d), validate=False)
+            assert game_score(g, corrected, identity) <= bound + 1e-7
+        weyls = weyl_family(d)
+        for _ in range(3):
+            us = [weyls[k] for k in rng.integers(0, len(weyls), 3)]
+            pulled = [_pulled(xi, u, 2) for xi, u in zip(targets, us)]
+            payoffs = [f * _pullback_target(sigma, xi, 2, d, d) for f, xi in zip(g.scores, pulled)]
+            assert classical_max(payoffs, (d, d))[0] <= bound + 1e-7
 
 
 class TestBuildGameFromDual:
