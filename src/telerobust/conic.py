@@ -23,12 +23,15 @@ L^-1/2 (G^-1 dX G^-H) L^-1/2 and of L^-1/2 (G^H dS G) L^-1/2, both
 sides in one call: five LAPACK calls per stack per iteration.
 
 Rows are stored only as svec rows, read by both the solver and the
-certificate checker.  The compiled standard form holds each block's rows
-once, on its row support: the rows on which the block has a nonzero
-coefficient.  Blocks with the same support share it, and the supports
-are the one row index of all four row operations (A X, A^T y, the row
-norms and the Schur complement): one product per support, added through
-a slice when its rows are one contiguous range.  The Schur complement is
+certificate checker.  ``SdpProblem`` keeps each block's rows as the
+chunks its ``add_*`` calls made (one matrix per operator equality), so
+both read a block's rows as one concatenation.  The compiled standard
+form holds each block's rows once, on its row support: the rows on
+which the block has a nonzero coefficient.  Blocks with the same support
+share it, and the supports are the one row index of all four row
+operations (A X, A^T y, the row norms and the Schur complement): one
+product per support, added through a slice when its rows are one
+contiguous range.  The Schur complement is
 built in the per-block sparsity style of Fujisawa, Kojima & Nakata
 (Math. Prog. 79, 1997), from one Gram product of the sharing blocks'
 rows scaled by G per support.  Blocks of equal size are stacked so that
@@ -82,10 +85,11 @@ solves Bell measurement itself as the two-block program of one outcome
 (16, 81 and 256 rows at d = 2, 3 and 4), so up to d = 3 it stays on the
 numpy route and never reaches the arrow factor.  The primal program,
 kept as an independent check, takes about 0.025-0.045 s (144 rows) and
-0.9-1.1 s (1539 rows).  Building the dual program takes 0.4-0.8 ms at
-d = 2 and 2.6-4.2 ms at d = 3, the primal 0.4-0.7 ms and 2-3.7 ms.
-Re-checking a certificate runs no solver: the dual's takes 0.7-1.3 ms at
-d = 2 and 3-5 ms at d = 3, the primal's 1-2 ms and 4-7 ms.  A fresh
+0.9-1.1 s (1539 rows).  Building the dual program takes 0.24-0.27 ms
+at d = 2 and 1.3-1.4 ms at d = 3, the primal 0.16-0.19 ms and 0.8-0.9 ms
+(best of 9 x 20 calls, in each of four processes).  Re-checking a
+certificate runs no solver: the dual's takes 0.50-0.55 ms at d = 2 and
+1.6-1.9 ms at d = 3, the primal's 0.76-0.82 ms and 2.5-3.2 ms.  A fresh
 interpreter imports the package in about 0.2 s at 35 MB peak RSS.
 """
 
@@ -177,17 +181,41 @@ class _Block:
 class SdpProblem:
     """Block SDP description assembled through add_* calls.
 
-    Each entry of ``constraints`` is ``(coeffs, sense, rhs)`` with
-    ``coeffs[k]`` the svec row (real, length n_k^2) of the Hermitian part
-    of block k's coefficient, so the row value is sum_k coeffs[k] @ svec(X_k).
+    A scalar row i reads sum_k A_ik @ svec(X_k)  senses[i]  rhs[i], where
+    A_ik is the svec row (real, length n_k^2) of the Hermitian part of
+    block k's coefficient.  ``rhs`` and ``senses`` hold one entry per row.
+    The coefficients are stored per block, in the per-block sparsity
+    style of Fujisawa, Kojima & Nakata (Math. Prog. 79, 1997):
+    ``chunks[k]`` lists (row indices (r,), coefficient rows (r, n_k^2))
+    pairs, one per call that names block k, in row order.  An operator
+    equality adds one chunk of n^2 rows per block it names, and
+    ``add_constraint`` a one-row chunk per block.  The stored arrays are
+    read-only.
+
+    ``constraints`` is a view derived from that storage, one
+    ``(coeffs, sense, rhs)`` triple per row with ``coeffs[k]`` the row
+    A_ik of each block the row names; it is rebuilt on every read, so
+    changing it changes nothing.
     """
 
     def __init__(self):
         self.blocks: list[_Block] = []
-        self.constraints: list[tuple[dict[int, np.ndarray], str, float]] = []
+        self.chunks: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.rhs: list[float] = []
+        self.senses: list[str] = []
         self.objective: dict[int, np.ndarray] = {}
         self.offset: float = 0.0
         self.sense: str = "min"
+
+    @property
+    def constraints(self) -> list[tuple[dict[int, np.ndarray], str, float]]:
+        """One (coeffs, sense, rhs) triple per row, gathered from ``chunks``."""
+        coeffs: list[dict[int, np.ndarray]] = [{} for _ in self.rhs]
+        for k, chunks in enumerate(self.chunks):
+            for rows, a in chunks:
+                for r, row in zip(rows.tolist(), a):
+                    coeffs[r][k] = row
+        return list(zip(coeffs, self.senses, self.rhs))
 
     def add_block(self, size, cone="psd", ppt_dims=None):
         """Register a Hermitian PSD variable block; returns its index."""
@@ -199,6 +227,7 @@ class SdpProblem:
         elif cone != "psd":
             raise ValueError(f"unknown cone {cone!r}")
         self.blocks.append(_Block(size, cone, ppt_dims))
+        self.chunks.append([])
         return len(self.blocks) - 1
 
     def set_objective(self, coeffs, offset=0.0, sense="min"):
@@ -207,6 +236,17 @@ class SdpProblem:
         self.objective = {int(k): hermitize(v) for k, v in coeffs.items()}
         self.offset = float(offset)
         self.sense = sense
+
+    def _add_rows(self, per_block, senses, rhs):
+        """Append rows: ``per_block`` maps a block to its (len(rhs), n^2) coefficient rows."""
+        rows = np.arange(len(self.rhs), len(self.rhs) + len(rhs))
+        rows.setflags(write=False)
+        for k, a in per_block.items():
+            a = np.ascontiguousarray(a, dtype=float)
+            a.setflags(write=False)
+            self.chunks[k].append((rows, a))
+        self.senses.extend(senses)
+        self.rhs.extend(rhs)
 
     def add_constraint(self, coeffs, sense, rhs):
         """Scalar constraint sum_k Re<coeffs[k], X_k>  sense  rhs; stores svec(herm(coeffs[k]))."""
@@ -219,8 +259,8 @@ class SdpProblem:
             v = np.asarray(v, dtype=complex)
             if v.shape != (n, n):
                 raise ValueError(f"coefficient for block {k} has shape {v.shape}, expected {(n, n)}")
-            clean[k] = svec(hermitize(v))
-        self.constraints.append((clean, sense, float(np.real(rhs))))
+            clean[k] = svec(hermitize(v))[None, :]
+        self._add_rows(clean, [sense], [float(np.real(rhs))])
 
     def add_operator_equality(self, terms, target):
         """Operator equality sum_j L_j(X_{k_j}) = target, expanded to rows.
@@ -230,7 +270,7 @@ class SdpProblem:
         Hermitian-preserving linear map matrix-wise to a stack (m, n, n);
         it is called once, on the svec basis of its block.  Repeated block
         indices are accumulated.  Row r is the r-th svec coordinate of
-        both sides.
+        both sides; each block named gets one chunk of all n^2 rows.
         """
         target = hermitize(target)
         nt = target.shape[0]
@@ -245,9 +285,7 @@ class SdpProblem:
             if a.shape[0] != nt * nt:
                 raise ValueError(f"map for block {k} lands in wrong space")
             rows[k] = rows[k] + a if k in rows else a
-        rhs = svec(target)
-        for r in range(nt * nt):
-            self.constraints.append(({k: a[r] for k, a in rows.items()}, "=", float(rhs[r])))
+        self._add_rows(rows, ["="] * (nt * nt), svec(target).tolist())
 
 
 @dataclass
@@ -514,12 +552,12 @@ class _Standard:
         self.companion: dict[int, int] = {}
         self.slack_rows: list[tuple[int, int, float]] = []  # (row, block, sign)
 
-        m_user = len(problem.constraints)
+        m_user = len(problem.rhs)
         ppt_blocks = [i for i, blk in enumerate(problem.blocks) if blk.cone == "ppt"]
         m = m_user + sum(problem.blocks[i].size ** 2 for i in ppt_blocks)
 
         # slack 1x1 blocks for inequality rows
-        for i, (_, sense, _) in enumerate(problem.constraints):
+        for i, sense in enumerate(problem.senses):
             if sense != "=":
                 sizes.append(1)
                 self.slack_rows.append((i, len(sizes) - 1, 1.0 if sense == "<=" else -1.0))
@@ -532,7 +570,7 @@ class _Standard:
         self.m = m
         self.m_user = m_user
         self.b = np.zeros(m)
-        self.b[:m_user] = [rhs for _, _, rhs in problem.constraints]
+        self.b[:m_user] = problem.rhs
 
         # (row indices, svec coefficient rows) chunks per block, in row order
         chunks = [[rows] for rows in _block_rows(problem)] + [[] for _ in sizes[self.n_user :]]
@@ -652,16 +690,20 @@ class _Standard:
 
 
 def _block_rows(problem):
-    """Row indices (r_k,) and stacked svec rows (r_k, n_k^2) of each user block."""
-    support = [([], []) for _ in problem.blocks]
-    for i, (coeffs, _, _) in enumerate(problem.constraints):
-        for k, v in coeffs.items():
-            support[k][0].append(i)
-            support[k][1].append(v)
-    return [
-        (np.array(rows, dtype=int), np.array(vecs, dtype=float).reshape(len(rows), blk.size**2))
-        for blk, (rows, vecs) in zip(problem.blocks, support)
-    ]
+    """Row indices (r_k,) and stacked svec rows (r_k, n_k^2) of each user block.
+
+    A block's chunks are concatenated in row order; a block of one chunk
+    returns that chunk's read-only arrays as they are.
+    """
+    out = []
+    for blk, chunks in zip(problem.blocks, problem.chunks):
+        if len(chunks) == 1:
+            out.append(chunks[0])
+            continue
+        rows = [np.zeros(0, dtype=int)] + [r for r, _ in chunks]
+        coef = [np.zeros((0, blk.size**2))] + [a for _, a in chunks]
+        out.append((np.concatenate(rows), np.concatenate(coef)))
+    return out
 
 
 def _basis(n):
@@ -931,7 +973,7 @@ def _shape_mismatches(problem, solution):
     """Expected-versus-actual messages for the counts and block shapes that do not fit."""
     y, xs = solution.dual_multipliers, solution.primal_blocks
     counts = [
-        ("dual multipliers", len(problem.constraints), 0 if y is None else len(y)),
+        ("dual multipliers", len(problem.rhs), 0 if y is None else len(y)),
         ("primal blocks", len(problem.blocks), len(xs)),
     ]
     out = [f"expected {want} {what}, got {got}" for what, want, got in counts if want != got]
@@ -996,13 +1038,13 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     pval = problem.offset + float(
         np.real(sum(np.vdot(problem.objective.get(k, np.zeros_like(X[k])), X[k]) for k in range(len(X))))
     )
-    dval_int = float(sum(y[i] * problem.constraints[i][2] for i in range(len(y))))
-    dval = problem.offset + sign * dval_int
+    rhs = np.array(problem.rhs)
+    dval = problem.offset + sign * float(y @ rhs)
 
     # one product per block gives its share of every row value (a block
     # meets each row at most once) and its dual slack
     # sign * C_k - sum_i y_i A_ik, against user rows only
-    vals = np.zeros(len(problem.constraints))
+    vals = np.zeros(len(problem.rhs))
     slacks = []
     for k, (blk, (rows, a)) in enumerate(zip(problem.blocks, _block_rows(problem))):
         vals[rows] += a @ svec(hermitize(X[k]))
@@ -1026,16 +1068,15 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution, tol=1e-6):
     cone = {name: max(0.0, -lam / scale) for (name, _, scale), lam in zip(tests, lows)}
     checks.update((name, cone[name]) for name, _, _ in primal)
 
-    for i, ((_, sense, rhs), val) in enumerate(zip(problem.constraints, vals.tolist())):
-        scale = 1.0 + abs(rhs)
-        if sense == "=":
-            checks[f"row{i}"] = abs(val - rhs) / scale
-        elif sense == "<=":
-            checks[f"row{i}"] = max(0.0, val - rhs) / scale
-            checks[f"row{i}_dualsign"] = max(0.0, y[i])
-        else:
-            checks[f"row{i}"] = max(0.0, rhs - val) / scale
-            checks[f"row{i}_dualsign"] = max(0.0, -y[i])
+    # row checks: the residual on the side each row's sense forbids, over
+    # 1 + |rhs|, then the sign of each inequality row's multiplier
+    senses = np.array(problem.senses)
+    diff = vals - rhs
+    side = np.where(senses == "=", np.abs(diff), np.maximum(np.where(senses == "<=", diff, -diff), 0.0))
+    row_checks = side / (1.0 + np.abs(rhs))
+    checks.update(zip([f"row{i}" for i in range(len(row_checks))], row_checks.tolist()))
+    for i in np.flatnonzero(senses != "=").tolist():
+        checks[f"row{i}_dualsign"] = max(0.0, y[i] if senses[i] == "<=" else -y[i])
 
     for k, blk in enumerate(problem.blocks):
         if blk.cone == "psd":

@@ -521,6 +521,11 @@ def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
 
     The F_x are PPT operators on V (x) B with sum_x F_x = (1/d_V) 1 (x) tau
     for a state tau.  A payoff C_x given as None adds no objective term.
+    ``value`` is the verified dual objective, as in
+    :func:`corrected_classical_bound`: the upper end of the solve's
+    interval, so the benchmark does not fall below the classical optimum
+    by the solver's tolerance and a ratio taken against it does not
+    overstate the advantage.
     """
     d_v, d_b = dims
     n = d_v * d_b
@@ -531,7 +536,7 @@ def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
     prob.add_operator_equality(terms, np.zeros((n, n)))
     prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
     sol = solve_checked(prob, tol=tol, what=what)
-    return float(sol.primal_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
+    return float(sol.dual_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
 
 
 def corrected_classical_bound(payoffs, dims, tol=1e-9, what="classical benchmark"):

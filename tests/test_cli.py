@@ -472,6 +472,32 @@ class TestRotCompute:
             report = verify_certificate(prob, sol, tol=1e-6)
             assert report.ok, f"{key}: {report.messages}"
 
+    def test_indented_files_are_still_read(self, files, tmp_path):
+        """Records and experiment files are written on one line; the
+        indented layout of earlier versions (``indent=2``) still loads, to
+        the same objects, and its certificates re-verify."""
+        code, rec = run_record(["rot", "compute", "--instrument", str(files["iso07"])], tmp_path)
+        assert code == 0
+        assert record_dumps(rec).count("\n") == 1
+        assert Path(files["iso07"]).read_text().count("\n") == 1
+
+        def indented(payload):
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        old_instr = tmp_path / "indented_instrument.json"
+        old_instr.write_text(indented(json.loads(Path(files["iso07"]).read_text())))
+        instr = load_experiment(old_instr)["instrument"]
+        assert all(np.array_equal(a, b) for a, b in zip(instr.mats, load_experiment(files["iso07"])["instrument"].mats))
+        old_rec = indented(rec.to_payload())
+        assert old_rec.count("\n") > 1000
+        assert record_loads(old_rec) == rec
+        for prob, key in ((rot_primal_problem(instr)[0], "primal"), (rot_dual_problem(instr)[0], "dual")):
+            report = verify_certificate(prob, solution_from_payload(record_loads(old_rec).certificates[key]))
+            assert report.ok, f"{key}: {report.messages}"
+        code, again = run_record(["rot", "compute", "--instrument", str(old_instr)], tmp_path, "again.json")
+        assert code == 0
+        assert (again.values, again.certificates) == (rec.values, rec.certificates)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_threshold_value_is_clamped_and_certified(self, tmp_path, d):
         """At p = 1/(d + 1), T = 0: the record reports it in [0, 1e-8]."""

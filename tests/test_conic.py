@@ -626,6 +626,78 @@ def test_stored_rows_compile_to_svec_rows():
         np.testing.assert_allclose(got, svec(image), rtol=0, atol=1e-12 * (1 + np.abs(got).max()))
 
 
+def _gathered_rows(prob):
+    """Row indices and svec rows of each block, gathered row by row from the ``constraints`` view."""
+    gathered = [([], []) for _ in prob.blocks]
+    for i, (coeffs, _, _) in enumerate(prob.constraints):
+        for k, v in coeffs.items():
+            gathered[k][0].append(i)
+            gathered[k][1].append(v)
+    return [
+        (rows, np.array(vecs, dtype=float).reshape(len(rows), blk.size**2))
+        for blk, (rows, vecs) in zip(prob.blocks, gathered)
+    ]
+
+
+def _repeated_block_problem(rng):
+    """Inequality rows from ``add_constraint``, an operator equality naming
+    one block twice, and a block that no row names."""
+    prob = SdpProblem()
+    x = prob.add_block(4, cone="ppt", ppt_dims=(2, 2))
+    y = prob.add_block(2)
+    z = prob.add_block(4)
+    prob.add_block(3)
+    prob.add_constraint({y: _rand_herm(rng, 2)}, ">=", -1.0)
+    prob.add_operator_equality(
+        [(x, 1.0), (y, lambda m: tensor(np.eye(2), m)), (x, lambda m: partial_transpose(m, (2, 2), 1))],
+        _rand_herm(rng, 4),
+    )
+    prob.add_constraint({x: _rand_herm(rng, 4), z: _rand_herm(rng, 4)}, "<=", 1.0)
+    prob.add_operator_equality([(z, -1.0), (y, lambda m: tensor(m, np.eye(2)))], _rand_herm(rng, 4))
+    return prob
+
+
+def _stored_rows_case(name, monkeypatch):
+    if name == "mixed":
+        return _repeated_block_problem(np.random.default_rng(5))
+    if name in ("rot_dual", "rot_primal"):
+        instr = build_instrument(rand_povm((3, 3), 4, rng=np.random.default_rng(6)), isotropic_state(0.6, 3))
+        return {"rot_dual": rot_dual_problem, "rot_primal": rot_primal_problem}[name](instr)[0]
+    seen = []
+    real = rot_module.solve_checked
+    monkeypatch.setattr(rot_module, "solve_checked", lambda prob, **kw: seen.append(prob) or real(prob, **kw))
+    rng = np.random.default_rng(9)
+    payoffs = [hermitize(rng.standard_normal((4, 4))) + 4 * np.eye(4) for _ in range(2)] + [None]
+    getattr(rot_module, name)(payoffs, (2, 2))
+    return seen[-1]
+
+
+@pytest.mark.parametrize("name", ["rot_dual", "rot_primal", "classical_max", "corrected_classical_bound", "mixed"])
+def test_block_rows_equal_the_row_by_row_gather(name, monkeypatch):
+    """Each block's stored chunks, concatenated, are the rows a per-row
+    gather finds: the same row indices and bit-identical coefficients."""
+    prob = _stored_rows_case(name, monkeypatch)
+    view = prob.constraints
+    assert [sense for _, sense, _ in view] == prob.senses
+    assert [rhs for _, _, rhs in view] == prob.rhs
+    for (rows, coef), (want_rows, want_coef) in zip(conic._block_rows(prob), _gathered_rows(prob)):
+        assert rows.tolist() == want_rows
+        assert coef.dtype == want_coef.dtype and coef.shape == want_coef.shape
+        assert coef.tobytes() == want_coef.tobytes()
+
+
+def test_constraints_is_a_derived_view():
+    """Changing the ``constraints`` view changes nothing stored; the stored rows are read-only."""
+    prob = _repeated_block_problem(np.random.default_rng(5))
+    view = prob.constraints
+    view[1] = ({}, "<=", 7.0)
+    assert prob.constraints[1][1:] == ("=", prob.rhs[1]) and prob.rhs[1] != 7.0
+    coeffs = prob.constraints[1][0]
+    with pytest.raises(ValueError):
+        coeffs[0][0] = 1.0
+    assert all(not r.flags.writeable and not a.flags.writeable for chunks in prob.chunks for r, a in chunks)
+
+
 def _reference_row_and_slack_checks(prob, sol):
     """Row and dual-slack checks by the dense loop over rows and blocks × rows.
 
@@ -898,8 +970,7 @@ class TestFiniteCheck:
     def test_nan_check_value_fails_that_check(self, certificate):
         """A NaN right-hand side makes row 5's check NaN; it must not be skipped."""
         prob, sol = copy.deepcopy(certificate)
-        coeffs, sense, _ = prob.constraints[5]
-        prob.constraints[5] = (coeffs, sense, np.nan)
+        prob.rhs[5] = np.nan
         rep = verify_certificate(prob, sol)
         assert not rep.ok
         assert np.isnan(rep.max_violation)

@@ -440,6 +440,18 @@ class TestAdvantageRatio:
         ratio, _, _ = advantage_ratio(pt, _one_outcome_instrument(2))
         assert ratio <= 1.0 + 1e-6
 
+    def test_separable_instrument_gains_nothing_to_rounding(self):
+        """Bell measurement on the separable isotropic state (p = 0.1, T = 0)
+        is itself a classical player, so its ratio on the task built from
+        its own certificate is at most 1.  The benchmark is the verified
+        dual value, the upper end of the solve's interval; the lower end
+        gave 1.0000000014."""
+        instr = build_instrument(bell_povm(2), isotropic_state(0.1, 2))
+        e, _ = build_discrimination_from_dual(rot_dual(instr))
+        ratio, numerator, _ = advantage_ratio(e, instr)
+        assert ratio <= 1.0 + 1e-9
+        assert numerator <= classical_p_succ_ensemble(e)
+
     def test_degenerate_denominator_guard(self, monkeypatch):
         monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
         with pytest.raises(NumericalError, match="degenerate"):

@@ -28,6 +28,7 @@ from telerobust.qobjects import (
     choi_apply,
     choi_apply_second,
     ideal_instrument,
+    isotropic_state,
     pauli_six,
     rand_povm,
     rand_state,
@@ -207,6 +208,19 @@ class TestClassicalGameScore:
         g = build_game_from_dual(rot_dual(ideal_instrument(2)))
         value = classical_game_score(g, UnitaryFamily("identity_only"))
         assert abs(value - 0.5) < 1e-5
+
+    def test_benchmark_bounds_a_classical_player(self):
+        """Bell measurement on the isotropic state at the threshold p = 1/3
+        is PPT, so a classical player: on the ideal qubit dual game it
+        scores 0.49999999940, above the lower end of the benchmark solve's
+        interval (0.49999999939).  The benchmark is the verified dual
+        value, the upper end, and bounds that score."""
+        g = build_game_from_dual(rot_dual(ideal_instrument(2)))
+        identity = UnitaryFamily("identity_only")
+        value = classical_game_score(g, identity)
+        player = build_instrument(bell_povm(2), isotropic_state(1.0 / 3.0, 2))
+        assert game_score(g, player, identity) <= value
+        assert abs(value - 0.5) <= 1e-8
 
     def test_hand_built_classical_strategy_attains_the_benchmark(self):
         # split each Bell projector into its PPT smoothing S_a/4; the
