@@ -31,12 +31,13 @@ import sys
 
 import numpy as np
 
-from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble, p_succ
+from telerobust.discrim import build_discrimination_from_dual, classical_ensemble_strategy, p_succ
 from telerobust.games import (
     UnitaryFamily,
     average_fidelity,
     build_game_from_dual,
     classical_game_score,
+    classical_game_strategy,
     fidelity_game_of,
     game_score,
 )
@@ -53,10 +54,11 @@ def fidelity_blind_state(p):
 
 
 def game_ratio(cert, instr):
-    """Straight-play score of the certificate's game over its classical score."""
+    """Straight-play score of the certificate's game over its classical score, and the benchmark's route."""
     game = build_game_from_dual(cert.dual)
     family = UnitaryFamily("identity_only")
-    return game_score(game, instr, family) / classical_game_score(game, family)
+    classical, _, route = classical_game_strategy(game, family)
+    return game_score(game, instr, family) / classical, route
 
 
 def fidelity_blind(p):
@@ -69,7 +71,8 @@ def fidelity_blind(p):
     print(f"  best fidelity found        {fidelity:.8f}  (classical limit {limit:.8f}, 2/(d + 1) = 2/3)")
     print(f"  robustness T               {cert.value:.8f}  (p^2 / (4 (1 - p)) = {p**2 / (4 * (1 - p)):.8f}, "
           f"route {cert.route})")
-    print(f"  game advantage ratio       {game_ratio(cert, instr):.8f}  (1 + T = {1 + cert.value:.8f})")
+    ratio, route = game_ratio(cert, instr)
+    print(f"  game advantage ratio       {ratio:.8f}  (1 + T = {1 + cert.value:.8f}, benchmark route {route})")
 
 
 def main():
@@ -91,11 +94,11 @@ def main():
 
     game = build_game_from_dual(dual)
     score = game_score(game, instr, UnitaryFamily("identity_only"))
-    classical = classical_game_score(game, UnitaryFamily("identity_only"))
+    classical, _, route = classical_game_strategy(game, UnitaryFamily("identity_only"))
     print("\ncorrelation game from the certificate:")
     print(f"  straight-play score        {score:.8f}  (d_V * score = {d_v * score:.8f}, 1 + T = {1 + t_val:.8f})")
     print(f"  best classical score       {classical:.8f}  (ceiling 1/d_V = {1 / d_v})")
-    print(f"  advantage ratio            {score / classical:.8f}")
+    print(f"  advantage ratio            {score / classical:.8f}  (benchmark route {route})")
 
     if dual.value <= 1e-9:
         print("\nno entanglement to leverage; skipping the discrimination family")
@@ -108,13 +111,14 @@ def main():
 def discriminate(dual, instr, t_val, fictitious):
     built, cons = build_discrimination_from_dual(dual, fictitious=fictitious)
     numerator = p_succ(built, instr)
-    denominator = classical_p_succ_ensemble(built)
+    denominator, _, route = classical_ensemble_strategy(built)
     floor = (1 + t_val) / (1 + 1 / (cons.alpha * fictitious))
     print("\ndiscrimination family from the certificate:")
     print(f"  branches                   {built.outcomes}  (alpha = {cons.alpha:.6f}, padding {cons.fictitious_count})")
     print(f"  guessing probability       {numerator:.8f}")
     print(f"  classical benchmark        {denominator:.8f}")
-    print(f"  ratio                      {numerator / denominator:.8f}  (>= {floor:.8f}, ceiling {1 + t_val:.8f})")
+    print(f"  ratio                      {numerator / denominator:.8f}  (>= {floor:.8f}, ceiling {1 + t_val:.8f}, "
+          f"benchmark route {route})")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from .discrim import (
     advantage_ratio,
     build_discrimination_from_dual,
     checked_denominator,
-    classical_p_succ_ensemble,
+    classical_ensemble_strategy,
     classical_p_succ_product,
     p_succ,
     pauli_twirl_instrument,
@@ -61,7 +61,7 @@ from .games import (
     UnitaryFamily,
     average_fidelity,
     build_game_from_dual,
-    classical_game_score,
+    classical_game_strategy,
     game_score,
 )
 from .qobjects import (
@@ -266,9 +266,9 @@ def cmd_game_score(args):
 def cmd_game_classical(args):
     game = _pick(args, "game", CorrelationGame, "game")
     family = UnitaryFamily(args.family)
-    score = classical_game_score(game, family, tol=args.tol)
+    score, _, route = classical_game_strategy(game, family, tol=args.tol)
     return ResultRecord(
-        values={"classical_score": score, "classical_set": family.classical_set},
+        values={"classical_score": score, "classical_set": family.classical_set, "route": route},
         warnings=_ppt_warnings(game.probe_dim, game.target_dim),
     )
 
@@ -298,11 +298,9 @@ def cmd_discrim_psucc(args):
 
 def cmd_discrim_classical(args):
     e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
+    ensemble, _, route = classical_ensemble_strategy(e, tol=args.tol)
     return ResultRecord(
-        values={
-            "ensemble": classical_p_succ_ensemble(e, tol=args.tol),
-            "product": classical_p_succ_product(e),
-        },
+        values={"ensemble": ensemble, "product": classical_p_succ_product(e), "route": route},
         warnings=_ppt_warnings(e.dim, e.dim),
     )
 
@@ -310,9 +308,9 @@ def cmd_discrim_classical(args):
 def cmd_discrim_ratio(args):
     e = _pick(args, "e", DiscriminationInstrument, "discrimination instrument")
     instr = _pick(args, "instrument", TeleportationInstrument, "instrument")
-    ratio, numerator, denominator = advantage_ratio(e, instr, tol=args.tol)
+    ratio, numerator, denominator, route = advantage_ratio(e, instr, tol=args.tol)
     return ResultRecord(
-        values={"ratio": ratio, "numerator": numerator, "denominator": denominator},
+        values={"ratio": ratio, "numerator": numerator, "denominator": denominator, "route": route},
         warnings=_ppt_warnings(e.dim, e.dim),
     )
 
@@ -440,7 +438,7 @@ def cmd_sweep(args):
     ideal = ideal_instrument(2)
     game = build_game_from_dual(rot_dual(ideal, tol=args.tol))
     twirl = pauli_twirl_instrument(2)
-    denominator = checked_denominator(classical_p_succ_ensemble(twirl, tol=args.tol))
+    denominator = checked_denominator(classical_ensemble_strategy(twirl, tol=args.tol)[0])
     probes = pauli_six()
     family = UnitaryFamily("pauli_group")
     bell = bell_povm(2)

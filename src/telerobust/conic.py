@@ -45,7 +45,10 @@ solves it with numpy's LU.  At d = 2 that covers robustness duals of up
 to 7 outcomes (16 k + 4 rows, 116 at k = 7) and classical benchmarks of
 up to 6 payoffs (16 k + 17 rows, 113 at k = 6).  A discrimination task
 built from a k-outcome instrument has k + 1 payoffs with its padding, so
-a Bell measurement's task (k = 4) has a 97-row benchmark.  A larger
+a 4-outcome task has a 97-row benchmark.  A Bell measurement's task no
+longer solves it: its payoffs are one Weyl orbit and a V-invariant
+padding, and ``rot.classical_max`` solves them as one PPT block and one
+trace row (17 rows at d = 2, 82 at d = 3).  A larger
 program is factored by block Cholesky on scipy's LAPACK and BLAS
 kernels, which ``solve`` imports before the first iterate of the first
 such program, so a run that only solves small programs never loads
@@ -62,7 +65,9 @@ The bound trades a little solve time for the import (one BLAS thread, a
 2-vCPU Intel Xeon).  Importing scipy's kernels after the package takes
 0.17-0.25 s and 21.4 MiB of peak RSS, once per process.  Programs
 without the arrow read within noise on either route: the 97-row classical
-benchmark solved in 25-29 ms on numpy against 26-27 ms on scipy's dense
+benchmark (now that of a task that is not Weyl-covariant, such as Bell
+measurement turned on V by a unitary outside the Weyl group) solved in
+25-29 ms on numpy against 26-27 ms on scipy's dense
 Cholesky (medians of 20 solves, three rounds), and a 113-row six-payoff
 one in 19-25 ms against 18-28 ms.  The arrow programs between 84 and 128
 rows pay more: the 6- and 7-outcome d = 2 duals (100 and 116 rows) took

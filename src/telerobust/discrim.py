@@ -49,6 +49,7 @@ __all__ = [
     "DiscrimConstruction",
     "p_succ",
     "p_succ_strategy",
+    "classical_ensemble_strategy",
     "classical_p_succ_ensemble",
     "classical_p_succ_product",
     "build_discrimination_from_dual",
@@ -252,18 +253,31 @@ def _guess_pullbacks(e: DiscriminationInstrument):
     return ops
 
 
-def classical_p_succ_ensemble(e: DiscriminationInstrument, tol=1e-9) -> float:
-    """Best guessing probability over classical (PPT) players.
+def classical_ensemble_strategy(e: DiscriminationInstrument, tol=1e-9):
+    """Best guessing probability over classical (PPT) players, with its strategy and route.
 
     Maximizes d_V^2 sum_x tr[(I (x) E_x)[F_x] phi+] over PPT operators
     F_x >= 0 with sum_x F_x = (1/d_V) 1 (x) tau for a state tau; the
     post-processing is absorbed into the variables because the classical
     set is closed under relabeling.  A branch of multiplicity k gets one
     variable — splitting a PPT operator across k identical payoffs
-    changes nothing.
+    changes nothing.  Returns (value, [F_x], route) as
+    :func:`~telerobust.rot.classical_max` does: a task compiled from a
+    Bell measurement's dual has Weyl-covariant branches and V-invariant
+    padding, so it takes the "covariant" route, one PPT block lifted to
+    every branch; any other task is solved in full ("solve").
     """
     payoffs = _guess_pullbacks(e)
-    return classical_max(payoffs, (e.dim, e.dim), tol, what="classical discrimination benchmark")[0]
+    return classical_max(payoffs, (e.dim, e.dim), tol, what="classical discrimination benchmark")
+
+
+def classical_p_succ_ensemble(e: DiscriminationInstrument, tol=1e-9) -> float:
+    """The value of :func:`classical_ensemble_strategy`: the classical benchmark of the task.
+
+    The CLI calls :func:`classical_ensemble_strategy`, whose route its
+    records name; this value-only form is for library callers.
+    """
+    return classical_ensemble_strategy(e, tol)[0]
 
 
 def classical_p_succ_product(e: DiscriminationInstrument) -> float:
@@ -338,12 +352,14 @@ def checked_denominator(benchmark: float) -> float:
 def advantage_ratio(e: DiscriminationInstrument, instr: TeleportationInstrument, tol=1e-9):
     """Quantum-over-classical guessing ratio for a fixed branch family.
 
-    Returns (ratio, numerator, denominator): the ratio, the success
-    probability with ``instr``, and the classical ensemble benchmark.
+    Returns (ratio, numerator, denominator, route): the ratio, the success
+    probability with ``instr``, the classical ensemble benchmark, and the
+    route that benchmark took (see :func:`classical_ensemble_strategy`).
     """
-    denominator = checked_denominator(classical_p_succ_ensemble(e, tol=tol))
+    benchmark, _, route = classical_ensemble_strategy(e, tol=tol)
+    denominator = checked_denominator(benchmark)
     numerator = p_succ(e, instr)
-    return numerator / denominator, numerator, denominator
+    return numerator / denominator, numerator, denominator, route
 
 
 def pauli_twirl_instrument(d=2) -> DiscriminationInstrument:

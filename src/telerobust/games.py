@@ -285,25 +285,31 @@ def _pullback_target(sigma_mat, xi_mat, d_spec, d_v, d_b):
 
 
 def classical_game_strategy(game, corrections=None, tol=1e-9):
-    """Classical benchmark with the strategy that attains it: (value, [F_b]).
+    """Classical benchmark with the strategy that attains it and its route: (value, [F_b], route).
 
     With ``identity_only`` corrections, the exact program over PPT
-    no-signalling Choi families (:func:`classical_max`).  With any other
-    family, one convex bound (:func:`corrected_classical_bound`) on every
-    classical player under every per-outcome correction, whose F_b absorb
-    the corrections; on the fidelity game of a 2-design it is 2/(d + 1)
-    (Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999)).
+    no-signalling Choi families (:func:`classical_max`), whose route is
+    "covariant" on a game compiled from a Bell measurement's dual (one
+    PPT block, lifted to every outcome) and "solve" otherwise.  With any
+    other family, one convex bound (:func:`corrected_classical_bound`) on
+    every classical player under every per-outcome correction, whose F_b
+    absorb the corrections, always solved ("solve"); on the fidelity game
+    of a 2-design it is 2/(d + 1) (Horodecki, Horodecki & Horodecki,
+    PRA 60, 1888 (1999)).  A game whose payoffs are all zero scores 0
+    with no program at all ("zero").
     """
     corrections = corrections if corrections is not None else UnitaryFamily()
     d_spec, d_v, d_b = game.spectator_dim, game.probe_dim, game.target_dim
     if float(np.sum(game.scores)) == 0.0:
-        return 0.0, [np.zeros((d_v * d_b, d_v * d_b))] * game.outcomes
+        return 0.0, [np.zeros((d_v * d_b, d_v * d_b))] * game.outcomes, "zero"
     sigma = game.input_state.matrix
     payoffs = [None] * game.outcomes
     for b in np.flatnonzero(game.scores > 0.0):
         payoffs[b] = game.scores[b] * _pullback_target(sigma, game.targets[b], d_spec, d_v, d_b)
-    program = classical_max if corrections.kind == "identity_only" else corrected_classical_bound
-    return program(payoffs, (d_v, d_b), tol, what="classical game benchmark")
+    what = "classical game benchmark"
+    if corrections.kind == "identity_only":
+        return classical_max(payoffs, (d_v, d_b), tol, what=what)
+    return (*corrected_classical_bound(payoffs, (d_v, d_b), tol, what=what), "solve")
 
 
 def classical_game_score(game, corrections=None, tol=1e-9):

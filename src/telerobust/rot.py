@@ -58,6 +58,22 @@ at d = 4 (the full solve timed on the same instrument turned on V by a
 random unitary, which no Weyl operator matches; one BLAS thread, a
 2-vCPU Xeon).
 
+The classical benchmark of a task compiled from such an instrument's
+dual (:func:`classical_max`) has the same symmetry: its payoffs are one
+Weyl orbit C_x = U_x C_0 U_x^dag and V-invariant payoffs 1 (x) M_f (the
+padding).  Averaged over the group, its value is the larger of
+max <C_0, sigma> over PPT states sigma, one PPT block and one trace row
+(17 rows at d = 2, 82 at d = 3), and the largest eigenvalue of any M_f.
+:func:`classical_max` matches the payoffs with the same matcher, lifts
+that solution to every payoff and keeps it only once
+``verify_certificate`` passes on the full program; otherwise it solves
+the full program (one PPT block per payoff, 97 rows for a 4-outcome
+task at d = 2).  For Bell measurement on an isotropic state at
+p = 0.5-1, ``discrim.advantage_ratio`` took 6-7 ms against 20-30 ms with
+the full solve at d = 2 and 13-14 ms against 0.22-0.31 s at d = 3,
+where the full program also imports scipy (one BLAS thread, a 2-vCPU
+Xeon).
+
 The same machinery evaluates the generalized robustness of entanglement
 R_E of a shared state.  Under the PPT relaxation that is the largest
 teleportation robustness any measurement extracts from the state, and
@@ -286,28 +302,28 @@ def _kept(prob, sol, tol):
     return sol if report.ok else None
 
 
-def _weyl_conjugators(instr, tol):
-    """The U_a = W_a (x) 1 with J_a = U_a J_0 U_a^dag, one distinct Weyl W_a per outcome, or None.
+def _weyl_conjugators(mats, dims, tol):
+    """The U_a = W_a (x) 1 with M_a = U_a M_0 U_a^dag, one distinct Weyl W_a per operator, or None.
 
-    None unless there are k = d_V^2 outcomes.  Outcome a takes the first
-    Weyl operator of ``weyl_family(d_V)`` not yet taken whose conjugate
-    of J_0 lies within tol * (1 + ||J_0||_F) of J_a in Frobenius norm.
-    The operators mapping J_0 to J_a form a coset of those fixing J_0,
-    so this finds a one-to-one assignment whenever there is one.
+    ``mats`` is a stack of operators on V (x) B, with ``dims`` = (d_V, d_B).
+    None unless there are d_V^2 of them.  Operator a takes the first Weyl
+    operator of ``weyl_family(d_V)`` not yet taken whose conjugate of M_0
+    lies within tol * (1 + ||M_0||_F) of M_a in Frobenius norm.  The
+    operators mapping M_0 to M_a form a coset of those fixing M_0, so this
+    finds a one-to-one assignment whenever there is one.
     """
     from .qobjects import weyl_family
 
-    d_v, d_b = instr.dims
-    js = instr.mats
-    if len(js) != d_v * d_v:
+    d_v, d_b = dims
+    if len(mats) != d_v * d_v:
         return None
     us = np.stack([np.kron(w, np.eye(d_b)) for w in weyl_family(d_v)])
-    orbit = us @ js[0] @ us.conj().transpose(0, 2, 1)
-    bound = tol * (1.0 + float(np.linalg.norm(js[0])))
+    orbit = us @ mats[0] @ us.conj().transpose(0, 2, 1)
+    bound = tol * (1.0 + float(np.linalg.norm(mats[0])))
     free = list(range(len(us)))
     taken = []
-    for j in js:
-        misses = np.linalg.norm(orbit[free] - j, axis=(1, 2))
+    for m in mats:
+        misses = np.linalg.norm(orbit[free] - m, axis=(1, 2))
         near = np.flatnonzero(misses <= bound)
         if not len(near):
             return None
@@ -331,7 +347,7 @@ def _covariant_dual(instr, prob, tol):
     """
     from .conic import solve  # looked up per call, as ``solve_checked`` does
 
-    us = _weyl_conjugators(instr, tol)
+    us = _weyl_conjugators(np.stack(instr.mats), instr.dims, tol)
     if us is None:
         return None
     d_v, d_b = instr.dims
@@ -516,8 +532,84 @@ def _payoff_program(payoffs, dims):
     return prob, blocks
 
 
+def _covariant_classical(payoffs, dims, prob, tol):
+    """The solution of ``prob``, the program of :func:`classical_max`, lifted from one PPT block, or None.
+
+    The payoffs must split into one regular Weyl orbit, d_V^2 payoffs
+    C_x = U_x C_0 U_x^dag (see :func:`_weyl_conjugators`), and any number
+    of V-invariant payoffs C_f, each within tol * (1 + ||C_f||_F) of
+    1 (x) M_f with M_f = tr_V C_f / d_V (M_f = 0 for a None payoff).
+    Averaging over the Weyl group then gives the value
+    s = max(t_0, max_f lambda_max(M_f)), where t_0 = max <C_0, sigma> over
+    PPT states sigma: one PPT block and one trace row.  A product state
+    attains lambda_max(M_f), so those terms are closed form.
+
+    The lift: if the orbit wins, F_x = U_x sigma U_x^dag / d_V^2 and
+    tau = tr_V sigma; if payoff f wins, F_f = (1/d_V) (x) |m><m| and
+    tau = |m><m|, with m the top eigenvector of M_f; every other F is 0.
+    The dual is Y = s 1 with trace multiplier s, stated for the
+    minimization form as svec(-s 1) and -s, with PPT pairs
+    (U_x (P_0 + (s - t_0) 1) U_x^dag, U_x Q_0 U_x^dag) on the orbit, where
+    t_0 1 - C_0 = P_0 + Q_0^{T_B} in the reduced solve, and (s 1 - C_f, 0)
+    on the fixed payoffs.  None unless the payoffs split so, the reduced
+    solve ends "optimal" and the lift passes ``verify_certificate`` on
+    ``prob``.
+    """
+    from .conic import solve  # looked up per call, as ``solve_checked`` does
+
+    d_v, d_b = dims
+    n = d_v * d_b
+    cs = np.stack([np.zeros((n, n), dtype=complex) if c is None else np.asarray(c, dtype=complex) for c in payoffs])
+    ms = partial_trace(cs, dims, keep=(1,)) / d_v
+    misses = np.linalg.norm(cs - np.kron(np.eye(d_v), ms), axis=(1, 2))
+    fixed = misses <= tol * (1.0 + np.linalg.norm(cs, axis=(1, 2)))
+    orbit, rest = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+    us = _weyl_conjugators(cs[orbit], dims, tol)
+    if us is None:
+        return None
+    reduced = SdpProblem()
+    sig = reduced.add_block(n, cone="ppt", ppt_dims=dims)
+    reduced.set_objective({sig: cs[orbit[0]]}, sense="max")
+    reduced.add_constraint({sig: np.eye(n)}, "=", 1.0)
+    red = solve(reduced, tol=tol)
+    if red.status != "optimal":
+        return None
+    t0 = float(red.dual_value)
+    lams, vecs = np.linalg.eigh(ms[rest])
+    s = max([t0] + lams[:, -1].tolist())
+
+    def lift(m):
+        return us @ m @ us.conj().transpose(0, 2, 1)
+
+    fs = np.zeros_like(cs)
+    if s > t0:
+        top = int(np.argmax(lams[:, -1]))
+        tau = np.outer(vecs[top, :, -1], vecs[top, :, -1].conj())
+        fs[rest[top]] = np.kron(np.eye(d_v) / d_v, tau)
+    else:
+        sigma = hermitize(red.primal_blocks[sig])
+        fs[orbit] = lift(sigma) / (d_v * d_v)
+        tau = partial_trace(sigma, dims, keep=(1,))
+    p0, q0 = red.ppt_pairs[sig]
+    pairs = dict(zip(orbit.tolist(), zip(lift(p0 + (s - t0) * np.eye(n)), lift(q0))))
+    pairs.update((f, (s * np.eye(n) - cs[f], np.zeros((n, n)))) for f in rest.tolist())
+    primal = float(np.vdot(cs, fs).real)
+    sol = SdpSolution(
+        status="optimal",
+        primal_blocks=list(fs) + [tau],
+        dual_multipliers=np.concatenate([svec(-s * np.eye(n)), [-s]]),
+        ppt_pairs=pairs,
+        primal_value=primal,
+        dual_value=s,
+        gap=abs(primal - s) / (1.0 + abs(primal) + abs(s)),
+        iterations=red.iterations,
+        message="lifted from the one-block program of a Weyl orbit of payoffs",
+    )
+    return _kept(prob, sol, tol)
+
+
 def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
-    """(value, [F_x]) of max sum_x <C_x, F_x> over the PPT-relaxed classical family.
+    """(value, [F_x], route) of max sum_x <C_x, F_x> over the PPT-relaxed classical family.
 
     The F_x are PPT operators on V (x) B with sum_x F_x = (1/d_V) 1 (x) tau
     for a state tau.  A payoff C_x given as None adds no objective term.
@@ -526,6 +618,15 @@ def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
     interval, so the benchmark does not fall below the classical optimum
     by the solver's tolerance and a ratio taken against it does not
     overstate the advantage.
+
+    Payoffs made of one Weyl orbit and V-invariant payoffs, such as the
+    task compiled from a Bell measurement's dual, take the "covariant"
+    route: one PPT block and one trace row (17 rows at d = 2, 82 at
+    d = 3), lifted to every payoff (see :func:`_covariant_classical`)
+    and kept only once ``verify_certificate`` passes on the full program
+    at max(50 * tol, 1e-9).  Any other set, or a lift that is refused,
+    takes the "solve" route: the full program, one PPT block per payoff.
+    ``route`` names the route taken.
     """
     d_v, d_b = dims
     n = d_v * d_b
@@ -535,8 +636,10 @@ def classical_max(payoffs, dims, tol=1e-9, what="classical benchmark"):
     terms.append((tau, lambda t: (-1.0 / d_v) * tensor(np.eye(d_v), t)))
     prob.add_operator_equality(terms, np.zeros((n, n)))
     prob.add_constraint({tau: np.eye(d_b)}, "=", 1.0)
-    sol = solve_checked(prob, tol=tol, what=what)
-    return float(sol.dual_value), [hermitize(sol.primal_blocks[b]) for b in blocks]
+    route, sol = "covariant", _covariant_classical(payoffs, dims, prob, tol)
+    if sol is None:
+        route, sol = "solve", solve_checked(prob, tol=tol, what=what)
+    return float(sol.dual_value), [hermitize(sol.primal_blocks[b]) for b in blocks], route
 
 
 def corrected_classical_bound(payoffs, dims, tol=1e-9, what="classical benchmark"):

@@ -131,13 +131,15 @@ def _numbers(values):
 
 
 def _decode_grid(obj, path):
-    if (
-        isinstance(obj, list)
-        and obj
-        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
-        and _numbers(chain.from_iterable(obj))
-    ):
-        return _finite(np.asarray(obj, dtype=float), path)
+    # One np.asarray converts every entry and checks the shape (ragged rows
+    # raise); the set of entry types refuses what it lets through: a true
+    # becomes 1, a numeric string its number and a null NaN.
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.size and _numbers(chain.from_iterable(obj)):
+        return _finite(arr, path)
     # the slow walk names the first entry that is wrong
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty list of rows")
     width = None

@@ -207,7 +207,7 @@ class TestExitCodes:
         assert "'numerical_error'" in err and "scaling-point factorization failed" in err
 
     def test_degenerate_benchmark_exits_5(self, files, monkeypatch, capsys):
-        monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        monkeypatch.setattr(discrim, "classical_ensemble_strategy", lambda e, tol=1e-9: (0.0, [], "solve"))
         code = cli.main(
             ["discrim", "ratio", "--e", str(files["twirl"]), "--instrument", str(files["ideal2"])]
         )
@@ -1092,14 +1092,14 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_degenerate_benchmark_exits_5(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        monkeypatch.setattr(cli, "classical_ensemble_strategy", lambda e, tol=1e-9: (0.0, [], "solve"))
         cfg = self._config(tmp_path, start=0.8, stop=1.0, step=0.1)
         assert cli.main(["sweep", "--config", str(cfg)]) == 5
         assert "degenerate" in capsys.readouterr().err
 
     def test_tol_reaches_the_benchmark(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "classical_p_succ_ensemble", lambda e, tol=1e-9: seen.append(tol) or 0.5)
+        monkeypatch.setattr(cli, "classical_ensemble_strategy", lambda e, tol=1e-9: (seen.append(tol) or 0.5, [], "solve"))
         cfg = self._config(tmp_path, start=0.9, stop=1.0, step=0.1)
         argv = ["sweep", "--config", str(cfg), "--tol", "3e-7", "--out", str(tmp_path / "t.csv")]
         assert cli.main(argv) == 0
@@ -1208,18 +1208,22 @@ def test_cli_defaults_to_one_blas_thread(preset, expected):
 # Run in a fresh interpreter: scipy must stay unloaded through a d = 2
 # ``rot compute``, a ``sim check`` (pinned to one CPU so that its
 # robustness programs are solved in this process), the discrimination
-# commands, whose classical benchmark has 97 rows, and a d = 3 ``rot
-# compute`` of Bell measurement, whose covariant route solves 81 rows.  It
-# must load for the full d = 3 dual of the same instrument turned on V.
+# commands, a d = 3 ``rot compute`` of Bell measurement, whose covariant
+# route solves 81 rows, and ``discrim build-from-dual`` and ``discrim
+# ratio`` on that d = 3 instrument, whose benchmark's covariant route
+# solves 82.  It must then load for the full program named by the second
+# argument: "dual", the full d = 3 dual of the instrument turned on V, or
+# "benchmark", the benchmark of the same d = 3 task with every branch
+# turned on V by a random unitary (892 rows, same value).
 _SCIPY_ON_DEMAND = r"""
 import os, sys
 import numpy as np
 import telerobust.cli as cli
-from telerobust import qobjects, serialize
+from telerobust import discrim, qobjects, serialize
 
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-root = sys.argv[1]
+root, full = sys.argv[1:]
 
 def rot_compute(d, p, turned=False):
     path, out = f"{root}/iso{d}{turned}.json", f"{root}/rot{d}{turned}.json"
@@ -1231,28 +1235,54 @@ def rot_compute(d, p, turned=False):
     assert cli.main(["rot", "compute", "--instrument", path, "--out", out]) == 0
     return path, serialize.record_loads(open(out, encoding="utf-8").read()).values
 
+def ratio(task, path):
+    out = f"{root}/r.json"
+    assert cli.main(["discrim", "ratio", "--e", task, "--instrument", path, "--out", out]) == 0
+    return serialize.record_loads(open(out, encoding="utf-8").read()).values
+
 path, _ = rot_compute(2, 0.7)
 argv = ["sim", "check", "--instrument", path, "--classical", "4", "--quantum", "2", "--mixtures", "2"]
 assert cli.main(argv + ["--seed", "0", "--out", f"{root}/check.json"]) == 0
 task = f"{root}/task.json"
 assert cli.main(["discrim", "build-from-dual", "--instrument", path, "--save", task, "--out", f"{root}/b.json"]) == 0
 assert cli.main(["discrim", "classical", "--e", task, "--out", f"{root}/c.json"]) == 0
-assert cli.main(["discrim", "ratio", "--e", task, "--instrument", path, "--out", f"{root}/r.json"]) == 0
-_, values = rot_compute(3, 0.7)
+assert ratio(task, path)["route"] == "covariant"
+path, values = rot_compute(3, 0.7)
 assert values["route"] == "covariant" and abs(values["robustness"] - 1.2) <= 1e-6, values
-assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command or the d = 3 covariant route"
-_, values = rot_compute(3, 0.7, turned=True)
-assert values["route"] == "solve" and abs(values["robustness"] - 1.2) <= 1e-6, values
-assert "scipy" in sys.modules, "scipy not loaded by the full d = 3 dual"
+task = f"{root}/task3.json"
+assert cli.main(["discrim", "build-from-dual", "--instrument", path, "--save", task, "--out", f"{root}/b3.json"]) == 0
+covariant = ratio(task, path)
+assert covariant["route"] == "covariant" and 2.0 < covariant["ratio"] <= 2.2 + 1e-6, covariant
+assert "scipy" not in sys.modules, "scipy loaded by a d = 2 command or a d = 3 covariant route"
+if full == "dual":
+    _, values = rot_compute(3, 0.7, turned=True)
+    assert values["route"] == "solve" and abs(values["robustness"] - 1.2) <= 1e-6, values
+else:
+    e = serialize.load_experiment(task)["discrimination"]
+    v = np.kron(np.eye(3), qobjects.rand_unitary(3, np.random.default_rng(3)))
+    turned = discrim.DiscriminationInstrument([v @ m @ v.conj().T for m in e.mats], e.multiplicities)
+    serialize.save_experiment(f"{root}/turned3.json", {"discrimination": turned})
+    solved = ratio(f"{root}/turned3.json", path)
+    assert solved["route"] == "solve" and abs(solved["denominator"] - covariant["denominator"]) <= 1e-8, solved
+assert "scipy" in sys.modules, f"scipy not loaded by the full d = 3 {full}"
 """
 
 
 def test_scipy_loads_only_for_programs_above_the_numpy_bound(tmp_path):
-    """d = 2 commands and the d = 3 covariant route run on numpy alone; the
-    full d = 3 dual loads scipy; both d = 3 instruments get T = 1.2."""
+    """d = 2 commands and the d = 3 covariant routes run on numpy alone; the
+    full d = 3 dual and the full d = 3 benchmark each load scipy, each in
+    its own interpreter; both d = 3 instruments get T = 1.2, and both d = 3
+    tasks the same benchmark."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
+    for full in ("dual", "benchmark"):
+        root = tmp_path / full
+        root.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _SCIPY_ON_DEMAND, str(root), full],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr

@@ -23,7 +23,15 @@ from telerobust.conic import (
 )
 from telerobust.discrim import build_discrimination_from_dual, classical_p_succ_ensemble
 from telerobust.linalg import dagger, hermitize, max_entangled, min_eig, partial_transpose, tensor
-from telerobust.qobjects import bell_povm, build_instrument, isotropic_state, rand_povm, rand_state
+from telerobust.qobjects import (
+    TeleportationInstrument,
+    bell_povm,
+    build_instrument,
+    isotropic_state,
+    rand_povm,
+    rand_state,
+    rand_unitary,
+)
 from telerobust.rot import rot_certified, rot_dual, rot_dual_problem, rot_primal_problem
 
 
@@ -494,14 +502,19 @@ def _classical_benchmark_program(monkeypatch):
     """The classical benchmark of the d = 2 task built from a 4-outcome dual.
 
     It has one PPT block per payoff (four branches and the padding):
-    97 rows, no block arrow.
+    97 rows, no block arrow.  The instrument is Bell measurement turned on
+    V by a random unitary, which takes its task off the Weyl group, so the
+    full program is solved: Bell measurement's own task takes the
+    covariant route, one PPT block of 17 rows.
     """
     seen = []
     real = rot_module.solve_checked
+    instr = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+    u = tensor(rand_unitary(2, np.random.default_rng(2)), np.eye(2))
+    turned = TeleportationInstrument([u @ j @ dagger(u) for j in instr.mats], instr.dims)
     with monkeypatch.context() as patch:
         patch.setattr(rot_module, "solve_checked", lambda prob, **kw: seen.append(prob) or real(prob, **kw))
-        dual = rot_dual(build_instrument(bell_povm(2), isotropic_state(0.7, 2)))
-        classical_p_succ_ensemble(build_discrimination_from_dual(dual)[0])
+        classical_p_succ_ensemble(build_discrimination_from_dual(rot_dual(turned))[0])
     return seen[-1]
 
 

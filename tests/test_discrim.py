@@ -431,13 +431,14 @@ class TestBuildFromDual:
 
 class TestAdvantageRatio:
     def test_pauli_twirl_with_ideal_teleportation_doubles_the_benchmark(self):
-        ratio, numerator, denominator = advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))
+        ratio, numerator, denominator, route = advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))
         assert abs(ratio - 2.0) <= 1e-4
         assert ratio == numerator / denominator
+        assert route == "covariant"
 
     def test_flat_instrument_gains_nothing(self):
         pt = pauli_twirl_instrument(2)
-        ratio, _, _ = advantage_ratio(pt, _one_outcome_instrument(2))
+        ratio = advantage_ratio(pt, _one_outcome_instrument(2))[0]
         assert ratio <= 1.0 + 1e-6
 
     def test_separable_instrument_gains_nothing_to_rounding(self):
@@ -448,11 +449,11 @@ class TestAdvantageRatio:
         gave 1.0000000014."""
         instr = build_instrument(bell_povm(2), isotropic_state(0.1, 2))
         e, _ = build_discrimination_from_dual(rot_dual(instr))
-        ratio, numerator, _ = advantage_ratio(e, instr)
+        ratio, numerator, _, _ = advantage_ratio(e, instr)
         assert ratio <= 1.0 + 1e-9
         assert numerator <= classical_p_succ_ensemble(e)
 
     def test_degenerate_denominator_guard(self, monkeypatch):
-        monkeypatch.setattr(discrim, "classical_p_succ_ensemble", lambda e, tol=1e-9: 0.0)
+        monkeypatch.setattr(discrim, "classical_ensemble_strategy", lambda e, tol=1e-9: (0.0, [], "solve"))
         with pytest.raises(NumericalError, match="degenerate"):
             advantage_ratio(pauli_twirl_instrument(2), ideal_instrument(2))

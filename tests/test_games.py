@@ -259,7 +259,8 @@ class TestClassicalGameScore:
 
     def test_strategy_operators_are_no_signalling(self):
         g = build_game_from_dual(rot_dual(ideal_instrument(2)))
-        value, ops = classical_game_strategy(g, UnitaryFamily("identity_only"))
+        value, ops, route = classical_game_strategy(g, UnitaryFamily("identity_only"))
+        assert route == "covariant"
         total = sum(ops)
         marginal = partial_trace(total, (2, 2), keep=(1,))
         # sum_b F_b = (1/d_V) 1 (x) tau forces tr_V of the sum to be a state

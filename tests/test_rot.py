@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from telerobust import conic as conic_module, rot as rot_module
+from telerobust import cli, conic as conic_module, discrim as discrim_module, rot as rot_module
 from telerobust.conic import (
     CertificateReport,
     SdpProblem,
@@ -57,6 +57,7 @@ from telerobust.rot import (
     rot_primal,
     rot_primal_problem,
 )
+from telerobust.serialize import record_loads, save_experiment
 from telerobust.simorder import apply_classical_sim, rand_classical_sim
 
 
@@ -691,6 +692,161 @@ class TestCovariantRoute:
         cert = rot_certified(self.BELL)
         assert cert.route == "solve"
         assert abs(cert.value - 0.55) <= 1e-6
+
+
+def _task_payoffs(instr):
+    """The payoffs of the discrimination task compiled from ``instr``'s dual, and the task."""
+    task, _ = build_discrimination_from_dual(rot_dual(instr))
+    return discrim_module._guess_pullbacks(task), task
+
+
+def _benchmark_verifies(payoffs, dims, value, ops):
+    """The returned F_x are a classical strategy scoring ``value``."""
+    d_v = dims[0]
+    total = sum(ops)
+    tau = partial_trace(total, dims, keep=(1,))
+    assert abs(np.trace(tau).real - 1.0) <= 1e-7
+    assert np.linalg.norm(total - tensor(np.eye(d_v) / d_v, tau)) <= 1e-7
+    for f in ops:
+        assert min_eig(f) >= -1e-7 and min_eig(partial_transpose(f, dims, 1)) >= -1e-7
+    score = sum(np.vdot(c, f).real for c, f in zip(payoffs, ops) if c is not None)
+    assert abs(score - value) <= 1e-7
+
+
+class TestCovariantClassicalBenchmark:
+    """The classical benchmark of a Weyl-covariant task is solved on one PPT block.
+
+    A task compiled from a Bell measurement's dual has d_V^2 payoffs on
+    one Weyl orbit and a V-invariant padding payoff, so ``classical_max``
+    solves max <C_0, sigma> over PPT states sigma (one block, one row),
+    lifts it to every payoff and keeps it once ``verify_certificate``
+    passes on the full program.  Turned on V by a non-Weyl unitary, the
+    same payoffs have the same classical value but are solved in full:
+    the oracle for the lifted value.
+    """
+
+    BELL = build_instrument(bell_povm(2), isotropic_state(0.7, 2))
+
+    @staticmethod
+    def _turned(payoffs, d):
+        u = tensor(rand_unitary(d, np.random.default_rng(d)), np.eye(d))
+        return [u @ c @ dagger(u) for c in payoffs]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("state", ["iso0.5", "iso0.7", "iso1", "rand0", "rand1"])
+    def test_same_value_as_the_full_solve(self, d, state):
+        if state.startswith("iso"):
+            rho = isotropic_state(float(state[3:]), d)
+        else:
+            rho = rand_state((d, d), rank=2, rng=np.random.default_rng(int(state[4:])))
+        payoffs, task = _task_payoffs(build_instrument(bell_povm(d), rho))
+        if state.startswith("rand"):
+            # the padding carries weight: its total adjoint is far from 0
+            assert task.multiplicities[-1] * np.linalg.norm(payoffs[-1]) > 1e-2
+        value, ops, route = classical_max(payoffs, (d, d))
+        solved, _, full = classical_max(self._turned(payoffs, d), (d, d))
+        assert (route, full) == ("covariant", "solve")
+        assert abs(value - solved) <= 1e-8
+        _benchmark_verifies(payoffs, (d, d), value, ops)
+
+    def test_payoffs_in_any_order(self):
+        payoffs, _ = _task_payoffs(self.BELL)
+        value = classical_max(payoffs, (2, 2))[0]
+        order = [4, 2, 0, 3, 1]
+        shuffled, ops, route = classical_max([payoffs[x] for x in order], (2, 2))
+        assert route == "covariant"
+        assert abs(shuffled - value) <= 1e-9
+        _benchmark_verifies([payoffs[x] for x in order], (2, 2), shuffled, ops)
+
+    @pytest.mark.parametrize("shift, route", [(1e-12, "covariant"), (1e-6, "solve")])
+    @pytest.mark.parametrize("which", [1, 4], ids=["orbit", "padding"])
+    def test_perturbed_payoff(self, shift, route, which):
+        """Within the match tolerance tol * (1 + ||C||_F) the route stays
+        covariant; beyond it the program is solved in full."""
+        payoffs, _ = _task_payoffs(self.BELL)
+        value = classical_max(payoffs, (2, 2))[0]
+        payoffs[which] = payoffs[which] + shift * np.diag([1.0, -1.0, 0.0, 0.0])
+        moved, ops, taken = classical_max(payoffs, (2, 2))
+        assert taken == route
+        assert abs(moved - value) <= 1e-5
+        _benchmark_verifies(payoffs, (2, 2), moved, ops)
+
+    def test_fixed_payoff_that_wins_is_certified(self, monkeypatch):
+        """A payoff 1 (x) M with lambda_max(M) = 0.9 above the orbit's
+        t_0 = 1/2 wins: F = (1/d_V) 1 (x) |0><0| on it, and the lift is
+        verified on the full program."""
+        payoffs, _ = _task_payoffs(self.BELL)
+        payoffs.append(tensor(np.eye(2), np.diag([0.9, 0.1])))
+        calls = _spy_solves(monkeypatch)
+        value, ops, route = classical_max(payoffs + [None], (2, 2))
+        assert route == "covariant" and [len(prob.blocks) for prob in calls] == [1]
+        assert abs(value - 0.9) <= 1e-9
+        np.testing.assert_allclose(ops[5], tensor(np.eye(2) / 2, np.diag([1.0, 0.0])), atol=1e-12)
+        _benchmark_verifies(payoffs + [None], (2, 2), value, ops)
+
+    def test_refused_lift_is_solved(self, monkeypatch):
+        """One general solve of the full program follows the reduced one."""
+        payoffs, _ = _task_payoffs(self.BELL)
+        value = classical_max(payoffs, (2, 2))[0]
+        _refuse_certificates(monkeypatch)
+        calls = _spy_solves(monkeypatch)
+        solved, _, route = classical_max(payoffs, (2, 2))
+        assert [len(prob.blocks) for prob in calls] == [1, 6]
+        assert route == "solve"
+        assert abs(solved - value) <= 1e-8
+
+    def test_non_optimal_reduced_solve_is_solved(self, monkeypatch):
+        payoffs, _ = _task_payoffs(self.BELL)
+        value = classical_max(payoffs, (2, 2))[0]
+        real = conic_module.solve
+
+        def stalled_reduced(prob, **kwargs):
+            if len(prob.blocks) == 1:
+                return SdpSolution(status="max_iter", message="stalled")
+            return real(prob, **kwargs)
+
+        monkeypatch.setattr(conic_module, "solve", stalled_reduced)
+        solved, _, route = classical_max(payoffs, (2, 2))
+        assert route == "solve"
+        assert abs(solved - value) <= 1e-8
+
+    def test_records_name_the_route(self, tmp_path):
+        """``game classical`` on a dual game and both discrimination
+        commands record the route their benchmark took."""
+        instr_file, game_file, task_file = (tmp_path / f"{n}.json" for n in ("instr", "game", "task"))
+        save_experiment(instr_file, {"instrument": self.BELL})
+        save_experiment(game_file, {"game": build_game_from_dual(rot_dual(self.BELL))})
+        task, _ = build_discrimination_from_dual(rot_dual(self.BELL))
+        save_experiment(task_file, {"task": task})
+        turned = tmp_path / "turned.json"
+        save_experiment(turned, {"game": build_game_from_dual(rot_dual(_v_turned(self.BELL)))})
+        runs = {
+            "game": (["game", "classical", "--game", str(game_file)], "covariant"),
+            "turned game": (["game", "classical", "--game", str(turned)], "solve"),
+            "corrected": (["game", "classical", "--game", str(game_file), "--family", "pauli_group"], "solve"),
+            "classical": (["discrim", "classical", "--e", str(task_file)], "covariant"),
+            "ratio": (["discrim", "ratio", "--e", str(task_file), "--instrument", str(instr_file)], "covariant"),
+        }
+        for name, (argv, route) in runs.items():
+            out = tmp_path / f"record of {name}.json"
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert record_loads(out.read_text(encoding="utf-8")).values["route"] == route, name
+
+    def test_sweep_denominator_takes_the_route(self, tmp_path, monkeypatch):
+        """The Pauli twirl's pullbacks are one Weyl orbit."""
+        routes = []
+        real = discrim_module.classical_max
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            routes.append(out[2])
+            return out
+
+        monkeypatch.setattr(discrim_module, "classical_max", spy)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"parameter": "isotropic_p", "start": 0.9, "stop": 1.0, "step": 0.1}', encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert routes == ["covariant"]
 
 
 @pytest.mark.parametrize("rank, outcomes", [(1, 9), (1, 11), (2, 5), (2, 7)])
